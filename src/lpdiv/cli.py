@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True)
         if horizon:
             p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="parallel workers (default: CPU count)")
+        p.add_argument("--threads", type=int, default=None, help="parallel workers (default: CPUs this process may run on)")
         p.add_argument("--format", dest="fmt", choices=("table", "json"), default="json")
         p.add_argument("--max-m", dest="max_m", type=int, default=DEFAULT_MAX_M,
                        help="enumeration bound override")

@@ -6,17 +6,24 @@ basis of the modulus; for odd p the base-p digits are.  A ``FiniteField``
 is immutable after construction and safe to share across workers.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
-the field generator.  Two realizations exist behind ``char_sum``:
+the field generator g.  ``char_sum`` routes each map to one of two
+realizations:
 
-* a table kernel (m <= ``TABLE_MAX_M``): one full power table g^0..g^{N-1}
-  is built by repeated doubling, after which any rational map is evaluated
-  on the whole group with vectorized index arithmetic;
-* a streaming kernel (larger m, maps with monomial denominator): the index
-  range is cut into fixed chunks, each chunk's starting power is computed
-  by square-and-multiply, and within a chunk the geometric progressions
-  g^{e*i} advance through precomputed block tables.  Chunks may run in
-  parallel processes; partial sums are exact ints, so the result does not
-  depend on the partitioning.
+* a mask kernel, for every map with a monomial denominator (a Laurent
+  polynomial sum of c_e x^e) at every m.  Tr(c*y) is GF(2)-linear in y, so
+  it equals parity(y & M(c)), where the trace-dual mask M(c) is the XOR of
+  m precomputed masks over the set bits of c (the trace bilinear form).
+  Per block of consecutive indices i, each exponent contributes
+  g^(e*i) = g^(e*start) * T_e[i - start], with T_e a precomputed geometric
+  table; its trace term costs one AND with M(g^(e*start)) and one XOR per
+  element.  The index range is cut into ranges that may run in parallel
+  processes; partial sums are exact ints, so the result does not depend on
+  the partitioning;
+* a table kernel, for denominators that are not monomials, at
+  m <= ``TABLE_MAX_M``: one full power table g^0..g^(N-1) with its inverse
+  permutation, after which the map is evaluated on the whole group with
+  vectorized index arithmetic.  Beyond that bound such maps raise
+  ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from . import gfpoly
 
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
-_BLOCK = 1 << 18
+_BLOCK = 1 << 16
 _CHUNK = 1 << 20
 THREADS_ENV_VAR = "LPDIV_THREADS"
 
@@ -98,7 +105,10 @@ def resolve_threads(threads: int | None) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     if env:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,8 @@ class FiniteField:
             self._top_bit = 1 << m
         self.generator = self._find_generator()
         if p == 2:
-            self._trace_mask = self._build_trace_mask()
+            self._dual_masks = self._build_dual_masks()
+            self._trace_mask = self._dual_masks[0]
         self._exps = None
         self._logs = None
         self._small_exps = None
@@ -290,20 +301,35 @@ class FiniteField:
                 return cand
         raise AssertionError("no generator found; modulus not irreducible?")
 
-    def _build_trace_mask(self) -> int:
-        # Tr is GF(2)-linear, so one AND + popcount-parity per element once
-        # the traces of the power-basis elements are known.
-        mask = 0
-        for j in range(self.m):
-            x = 1 << j
+    def _build_dual_masks(self) -> list[int]:
+        # Bit j of mask i is Tr(x^(i+j)).  Tr(x^j) for j < m comes from the
+        # definition; beyond that Tr is GF(2)-linear, so Tr(x^k) is the
+        # parity of x^k & mask 0.
+        m = self.m
+        traces = []
+        for j in range(m):
             acc = 0
-            y = x
-            for _ in range(self.m):
+            y = 1 << j
+            for _ in range(m):
                 acc ^= y
                 y = self.mul(y, y)
-            if acc == 1:
-                mask |= 1 << j
-        return mask
+            traces.append(acc)
+        mask0 = sum(t << j for j, t in enumerate(traces))
+        x = 1 << (m - 1)
+        for _ in range(m - 1):
+            x <<= 1
+            if x & self._top_bit:
+                x ^= self._mod_int
+            traces.append((x & mask0).bit_count() & 1)
+        return [sum(traces[i + j] << j for j in range(m)) for i in range(m)]
+
+    def trace_dual(self, c: int) -> int:
+        """The mask M(c) with Tr(c*y) = parity(y & M(c)) for every y."""
+        out = 0
+        for i, mask in enumerate(self._dual_masks):
+            if c >> i & 1:
+                out ^= mask
+        return out
 
     # -- bulk kernels (p = 2) ----------------------------------------------
 
@@ -312,22 +338,13 @@ class FiniteField:
         uint64 array by the constant c is then a few table gathers."""
         nbytes = (self.m + 7) // 8
         tables = np.zeros((nbytes, 256), dtype=np.uint64)
-        mod_int = self._mod_int
-        top = self._top_bit
-        basis = c
-        for b in range(nbytes):
-            row = tables[b]
-            bas = []
-            t = basis
-            for _ in range(8):
-                bas.append(t)
+        t = c
+        for row in tables:
+            for i in range(8):
+                row[1 << i : 2 << i] = row[: 1 << i] ^ np.uint64(t)
                 t <<= 1
-                if t & top:
-                    t ^= mod_int
-            basis = t
-            for v in range(1, 256):
-                low = v & -v
-                row[v] = row[v ^ low] ^ np.uint64(bas[low.bit_length() - 1])
+                if t & self._top_bit:
+                    t ^= self._mod_int
         return tables
 
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
@@ -344,16 +361,9 @@ class FiniteField:
         permutation (logs[0] is unused).  Built once, cached."""
         if self._exps is None:
             n = self.order - 1
-            exps = np.zeros(max(n, 1), dtype=np.uint64)
-            exps[0] = 1
-            filled = 1
-            while filled < n:
-                step = min(filled, n - filled)
-                c = self.pow_el(self.generator, filled)
-                exps[filled : filled + step] = self._const_mul_block(c, exps[:step])
-                filled += step
+            exps = self.geometric_block(self.generator, n)
             logs = np.zeros(self.order, dtype=np.int64)
-            logs[exps] = np.arange(max(n, 1), dtype=np.int64)
+            logs[exps] = np.arange(n, dtype=np.int64)
             self._exps = exps
             self._logs = logs
         return self._exps, self._logs
@@ -464,15 +474,15 @@ def char_sum(
         raise ValueError("rational map must be over GF(2)")
     if field.m > max_m:
         raise TooLarge(f"m = {field.m} exceeds the enumeration bound {max_m}")
-    if field.m <= table_max_m:
-        return _char_sum_table(field, f)
     exponents = f.laurent_exponents()
-    if exponents is None:
+    if exponents is not None:
+        return _char_sum_stream(field, f, exponents, resolve_threads(threads))
+    if field.m > table_max_m:
         raise TooLarge(
             f"m = {field.m} exceeds the power-table bound {table_max_m} and the "
             "denominator is not a monomial; raise table_max_m to proceed"
         )
-    return _char_sum_stream(field, f, exponents, resolve_threads(threads))
+    return _char_sum_table(field, f)
 
 
 def _zero_point_term(field: FiniteField, f: RationalMap) -> int:
@@ -513,23 +523,40 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     return total
 
 
-def _stream_range(args) -> int:
-    p, m, modulus, exponents, lo, hi = args
-    field = make_field(p, m, modulus)
+def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int) -> int:
+    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi."""
+    if not exponents:
+        return hi - lo  # f = 0
     n = field.order - 1
+    g = field.generator
     length = min(_BLOCK, n)
-    tables = [field.geometric_block(field.pow_el(field.generator, e % n), length) for e in exponents]
-    mask = np.uint64(field._trace_mask)
+    tables = [field.geometric_block(field.pow_el(g, e % n), length) for e in exponents]
+    steps = [field.pow_el(g, e * length % n) for e in exponents]
+    coeffs = [field.pow_el(g, e * lo % n) for e in exponents]
+    w = np.empty(length, dtype=np.uint64)
+    term = np.empty(length, dtype=np.uint64)
+    bits = np.empty(length, dtype=np.uint8)
     partial = 0
     for start in range(lo, hi, length):
         cnt = min(length, hi - start)
-        w = np.zeros(cnt, dtype=np.uint64)
-        for e, table in zip(exponents, tables):
-            c0 = field.pow_el(field.generator, (e * start) % n)
-            w ^= field._const_mul_block(c0, table[:cnt])
-        tr = (np.bitwise_count(w & mask) & np.uint8(1)).astype(np.int64)
-        partial += cnt - 2 * int(tr.sum())
+        w_blk = w[:cnt]
+        for k, table in enumerate(tables):
+            # coeffs[k] = g^(e*start), so Tr(g^(e*i)) = parity(table[i - start] & M(coeffs[k]))
+            mask = np.uint64(field.trace_dual(coeffs[k]))
+            if k == 0:
+                np.bitwise_and(table[:cnt], mask, out=w_blk)
+            else:
+                w_blk ^= np.bitwise_and(table[:cnt], mask, out=term[:cnt])
+            coeffs[k] = field.mul(coeffs[k], steps[k])
+        odd = np.bitwise_count(w_blk, out=bits[:cnt])
+        odd &= np.uint8(1)
+        partial += cnt - 2 * int(np.count_nonzero(odd))
     return partial
+
+
+def _stream_job(args) -> int:
+    p, m, modulus, exponents, lo, hi = args
+    return _stream_range(make_field(p, m, modulus), exponents, lo, hi)
 
 
 def _char_sum_stream(
@@ -537,15 +564,15 @@ def _char_sum_stream(
 ) -> int:
     n = field.order - 1
     total = _zero_point_term(field, f)
-    bounds = [n * t // threads for t in range(threads + 1)]
+    workers = min(threads, -(-n // _CHUNK))
+    if workers == 1:
+        return total + _stream_range(field, exponents, 0, n)
+    bounds = [n * t // workers for t in range(workers + 1)]
     jobs = [
         (field.p, field.m, field.modulus, exponents, bounds[t], bounds[t + 1])
-        for t in range(threads)
-        if bounds[t] < bounds[t + 1]
+        for t in range(workers)
     ]
-    if len(jobs) <= 1:
-        return total + sum(_stream_range(job) for job in jobs)
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        return total + sum(pool.map(_stream_range, jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return total + sum(pool.map(_stream_job, jobs))

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from lpdiv.curves import (
@@ -132,6 +135,11 @@ class TestCountPoints:
         nonsquare_lead = OddHyperellipticCurve(3, (), (1, 1, 0, 0, 2))  # lc 2
         for c in (square_lead, nonsquare_lead):
             assert count_points(c, m) == oracles.naive_count_hyper(c, m)
+
+    def test_d6_counts_match_recorded_run(self):
+        recorded = pathlib.Path(__file__).resolve().parent.parent / "dk6_result.json"
+        want = json.loads(recorded.read_text())["counts"][:24]
+        assert list(count_series(dk_curve(6), 24, threads=1).counts) == want
 
     def test_gsum_relation(self):
         # N_m = 2^m + 1 + G_m for the family (two ramified places)

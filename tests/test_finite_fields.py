@@ -1,7 +1,10 @@
+import concurrent.futures
 import random
 
 import pytest
 
+from lpdiv import finite_fields
+from lpdiv.curves import dk_map
 from lpdiv.finite_fields import (
     POLE,
     ModulusReducible,
@@ -13,6 +16,7 @@ from lpdiv.finite_fields import (
     factor_int,
     field_from_json_dict,
     make_field,
+    resolve_threads,
     trace,
 )
 
@@ -21,6 +25,16 @@ import oracles
 
 X3_PLUS_INV = RationalMap(2, (1, 0, 0, 0, 1), (0, 1))  # x^3 + 1/x
 X5_PLUS_INV = RationalMap(2, (1, 0, 0, 0, 0, 0, 1), (0, 1))  # x^5 + 1/x
+D6_MAP = dk_map(6)  # x^65 + 1/x: exponent 65 >= 2^m - 1 for m <= 6
+
+
+def _laurent(terms) -> RationalMap:
+    """Sum of x^e over the exponents in terms, as num / x^j."""
+    j = max(0, -min(terms))
+    num = [0] * (max(terms) + j + 1)
+    for e in terms:
+        num[e + j] ^= 1
+    return RationalMap(2, num, [0] * j + [1])
 
 
 class TestMakeField:
@@ -104,6 +118,14 @@ class TestTrace:
         for x in f.elements():
             assert f.trace(x) == oracles.trace_by_definition(f, x)
 
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_trace_dual_mask_exhaustive(self, m):
+        f = make_field(2, m)
+        for c in f.elements():
+            mask = f.trace_dual(c)
+            for y in f.elements():
+                assert f.trace(f.mul(c, y)) == (y & mask).bit_count() & 1
+
     @pytest.mark.parametrize("p,m", [(2, 6), (2, 9), (3, 3), (5, 2)])
     def test_linearity_and_frobenius(self, p, m):
         f = make_field(p, m)
@@ -175,6 +197,59 @@ class TestCharSum:
         ):
             assert char_sum(field, f) == oracles.naive_char_sum(field, f)
 
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_laurent_kernel_equals_naive_exhaustive(self, m):
+        field = make_field(2, m)
+        maps = [
+            _laurent([3, -1, 0]),  # constant term
+            _laurent([-3]),  # a single negative term
+            _laurent([1]),  # a single term
+            _laurent([5, 2, -2, -7]),
+            RationalMap(2, ()),  # f = 0
+        ]
+        if m <= 6:
+            maps.append(D6_MAP)
+        for f in maps:
+            assert f.laurent_exponents() is not None
+            assert char_sum(field, f) == oracles.naive_char_sum(field, f)
+
+    @pytest.mark.parametrize("m", range(13, 19))
+    def test_laurent_kernel_equals_table_kernel(self, m):
+        field = make_field(2, m)
+        for f in (D6_MAP, X5_PLUS_INV, _laurent([7, -3, 0])):
+            assert char_sum(field, f, threads=1) == finite_fields._char_sum_table(field, f)
+
+    @pytest.mark.parametrize("block", [finite_fields._BLOCK, 100])
+    def test_range_partition_is_deterministic(self, monkeypatch, block):
+        monkeypatch.setattr(finite_fields, "_BLOCK", block)
+        field = make_field(2, 12)
+        n = field.order - 1
+        exps = D6_MAP.laurent_exponents()
+
+        def run(bounds):
+            return sum(
+                finite_fields._stream_range(field, exps, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+
+        whole = run([0, n])
+        assert whole == char_sum(field, D6_MAP)  # x = 0 is a pole
+        for bounds in ([0, 1, n], [0, 777, 2048, 2049, n], [0, 99, 201, 3001, n - 1, n]):
+            assert run(bounds) == whole
+
+    def test_small_field_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        field = make_field(2, 12)
+        assert char_sum(field, D6_MAP, threads=4) == char_sum(field, D6_MAP, threads=1)
+
+    def test_process_pool_matches_one_worker(self):
+        field = make_field(2, 21)
+        assert field.order - 1 > finite_fields._CHUNK  # two workers get a range each
+        assert char_sum(field, D6_MAP, threads=2) == char_sum(field, D6_MAP, threads=1)
+
     @pytest.mark.parametrize("m", [8, 11, 13])
     def test_streaming_kernel_matches_table_kernel(self, m):
         field = make_field(2, m)
@@ -211,6 +286,13 @@ class TestCharSum:
     def test_odd_characteristic_rejected(self):
         with pytest.raises(ValueError):
             char_sum(make_field(3, 2), RationalMap(3, (0, 1)))
+
+    def test_threads_default_to_cpu_affinity(self, monkeypatch):
+        monkeypatch.delenv(finite_fields.THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(finite_fields.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(finite_fields.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert resolve_threads(None) == 2
+        assert resolve_threads(5) == 5
 
     def test_bounds(self):
         # |sum| <= 2^m always
