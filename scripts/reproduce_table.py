@@ -6,10 +6,9 @@ import argparse
 import sys
 import time
 
-from lpdiv.curves import count_series, dk_curve
 from lpdiv.decomp import verify_conjecture_dk
 from lpdiv.intpoly import IntPoly, format_poly
-from lpdiv.zeta import lpoly_from_counts, validate_lpoly
+from lpdiv.zeta import validate_lpoly
 
 PUBLISHED = {
     1: IntPoly([1]),
@@ -26,7 +25,6 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=None)
     args = parser.parse_args()
 
-    d1 = lpoly_from_counts(2, 2, count_series(dk_curve(1), 2).counts)
     all_ok = True
     for k in range(1, args.k_max + 1):
         t0 = time.time()
@@ -38,7 +36,7 @@ def main() -> int:
         all_ok &= ok
         status = "ok" if ok else "MISMATCH"
         print(f"k={k} ({dt:6.2f}s, genus {rep.genus})  [{status}]")
-        print(f"  L = ({format_poly(d1.poly)}) * ({format_poly(rep.quotient)})")
+        print(f"  L = ({format_poly(rep.d1_lpoly.poly)}) * ({format_poly(rep.quotient)})")
         print(f"  structure: {rep.structure.kind}", end="")
         if rep.structure.parts:
             inner = " * ".join(

@@ -13,7 +13,6 @@ from .finite_fields import (
     char_sum,
     eval_rational_map,
     make_field,
-    trace,
 )
 from .intpoly import (
     IntPoly,
@@ -25,7 +24,6 @@ from .intpoly import (
     poly_from_power_sums,
     power_sums_from_poly,
     squarefree_over_Q,
-    support_in_tk,
 )
 from .curves import (
     ArtinSchreierCurve,

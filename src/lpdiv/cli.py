@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .curves import base_field_size, count_points, count_series, curve_from_json_dict, genus, gsum
 from .decomp import (
@@ -40,25 +39,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    curve: str | None = None
-    lc: str | None = None
-    ld: str | None = None
-    k: int | None = None
-    m: int | None = None
-    horizon: int | None = None
-    threads: int | None = None
-    fmt: str = "json"
-    max_m: int = DEFAULT_MAX_M
-
-    def require(self, **fields):
-        for name, flag in fields.items():
-            if getattr(self, name) is None:
-                raise UsageError(f"{self.command} requires {flag}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,22 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("scan-gsum", "gcd-dependence scan of the exponential sums (k, m up to bounds)", k=True, m=True)
     add("counterexample", "verify the fixed F_3 counterexample pair")
     return parser
-
-
-def parse_config(argv) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    return RunConfig(
-        command=ns.command,
-        curve=getattr(ns, "curve", None),
-        lc=getattr(ns, "lc", None),
-        ld=getattr(ns, "ld", None),
-        k=getattr(ns, "k", None),
-        m=getattr(ns, "m", None),
-        horizon=getattr(ns, "horizon", None),
-        threads=ns.threads,
-        fmt=ns.fmt,
-        max_m=ns.max_m,
-    )
 
 
 def _load_json(path: str) -> dict:
@@ -197,8 +161,9 @@ def _to_table(report) -> str:
     return str(report) + "\n"
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; prints the report and returns the exit status."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one command, given the namespace ``build_parser`` parses;
+    prints the report and returns the exit status."""
     cmd = config.command
     if cmd == "count":
         curve = curve_from_json_dict(_load_json(config.curve))
@@ -258,12 +223,8 @@ def run(config: RunConfig) -> int:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv if argv is not None else sys.argv[1:])
-        return run(config)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (ValueError, KeyError, TypeError) as exc:
+        return run(build_parser().parse_args(argv))
+    except (UsageError, ValueError, KeyError, TypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -30,7 +30,6 @@ from .finite_fields import (
     TooLarge,
     char_sum,
     make_field,
-    _is_prime,
 )
 
 
@@ -62,7 +61,7 @@ class OddHyperellipticCurve:
     f: tuple[int, ...]
 
     def __init__(self, p: int, h, f):
-        if not _is_prime(p):
+        if gfpoly.factor_int(p) != {p: 1}:
             raise NoPrime(f"{p} is not prime")
         if p == 2:
             raise ValueError("use ArtinSchreierCurve in characteristic 2")
@@ -227,7 +226,12 @@ def dk_map(k: int) -> RationalMap:
     """x^(2^k+1) + x^(-1) over GF(2), as (x^(2^k+2) + 1) / x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    e = (1 << k) + 2
+    return _dk_rhs(k)
+
+
+def _dk_rhs(j: int) -> RationalMap:
+    """x^(2^j+1) + x^(-1) for any j >= 0 (j = 0 gives x^2 + x^(-1))."""
+    e = (1 << j) + 2
     return RationalMap(2, (1,) + (0,) * (e - 1) + (1,), (0, 1))
 
 
@@ -243,9 +247,14 @@ def gsum(
     threads: int | None = None,
     max_m: int = DEFAULT_MAX_M,
 ) -> int:
-    """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1))."""
+    """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1)).
+
+    x^(2^k) = x^(2^(k mod m)) on GF(2^m), so the sum is taken for
+    x^(2^(k mod m)+1) + x^(-1), whose size does not grow with k."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if m > max_m:
         raise TooLarge(f"m = {m} exceeds the enumeration bound {max_m}")
-    return char_sum(make_field(2, m), dk_map(k), threads=threads, max_m=max_m)
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    return char_sum(make_field(2, m), _dk_rhs(k % m), threads=threads, max_m=max_m)

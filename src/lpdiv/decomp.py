@@ -37,14 +37,15 @@ from .curves import (
     genus,
     gsum,
 )
-from .finite_fields import DEFAULT_MAX_M, _is_prime, factor_int
+from .finite_fields import DEFAULT_MAX_M
+from .gfpoly import factor_int
 from .intpoly import (
     IntPoly,
     divides_with_quotient,
     format_poly,
+    gcd_primitive,
     power_sums_from_poly,
     squarefree_over_Q,
-    support_in_tk,
 )
 from .zeta import (
     LPolynomial,
@@ -128,7 +129,7 @@ def _divisibility_report(
             first_fail = m
     hyp2 = squarefree_over_Q(extension_lpoly(lc, k).poly)
     div, quot = divides_with_quotient(lc.poly, ld.poly)
-    q_in_tk = bool(div and quot is not None and support_in_tk(quot, k) is not None)
+    q_in_tk = bool(div and quot is not None and quot.deflate(k) is not None)
     if first_fail is None and hyp2:
         verdict = Verdict.HOLDS if (div and q_in_tk) else Verdict.VIOLATION
     else:
@@ -252,7 +253,7 @@ def split_two_prime(q_poly: IntPoly, p1: int, p2: int) -> SplitResult:
     """
     if not q_poly or q_poly[0] != 1:
         raise ValueError("Q(0) must be 1")
-    if p1 == p2 or not _is_prime(p1) or not _is_prime(p2):
+    if p1 == p2 or factor_int(p1) != {p1: 1} or factor_int(p2) != {p2: 1}:
         raise ValueError("need two distinct primes")
     if p2 == 2:
         res = _split_two_prime(q_poly, p2, p1)
@@ -273,15 +274,13 @@ def _split_two_prime(q_poly: IntPoly, p1: int, p2: int) -> SplitResult:
     ]
     if not shapes:
         return SplitResult("no_split")
-    whole_a = support_in_tk(q_poly, p1)
+    whole_a = q_poly.deflate(p1)
     if whole_a is not None:
         return _verified(q_poly, whole_a, IntPoly([1]), p1, p2)
-    whole_b = support_in_tk(q_poly, p2)
+    whole_b = q_poly.deflate(p2)
     if whole_b is not None:
         return _verified(q_poly, IntPoly([1]), whole_b, p1, p2)
     if p1 == 2:
-        from .intpoly import gcd_primitive
-
         q_neg = IntPoly((-1) ** i * c for i, c in enumerate(q_poly.coeffs))
         cand = gcd_primitive(q_poly, q_neg)
         if cand[0] == -1:
@@ -290,7 +289,7 @@ def _split_two_prime(q_poly: IntPoly, p1: int, p2: int) -> SplitResult:
         if cand[0] == 1 and even is not None and 0 < cand.degree < deg:
             ok, rest = divides_with_quotient(cand, q_poly)
             if ok:
-                b_part = support_in_tk(rest, p2)
+                b_part = rest.deflate(p2)
                 if b_part is not None:
                     return _verified(q_poly, even, b_part, p1, p2)
     if all(a == 0 or b == 0 for a, b in shapes):
@@ -391,7 +390,7 @@ def _quotient_structure(k: int, quot: IntPoly) -> QuotientStructure:
         return QuotientStructure(kind="unit", primes=primes)
     if len(primes) == 1:
         p = primes[0]
-        inner = support_in_tk(quot, p)
+        inner = quot.deflate(p)
         if inner is None:
             return QuotientStructure(kind="no_split", primes=primes)
         return QuotientStructure(kind="prime_power", primes=primes, parts=(inner,))

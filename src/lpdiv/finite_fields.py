@@ -22,7 +22,8 @@ realizations:
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: one full power table g^0..g^(N-1) with its inverse
   permutation, after which the map is evaluated on the whole group with
-  vectorized index arithmetic.  Beyond that bound such maps raise
+  vectorized index arithmetic.  The tables are built per call and not kept
+  on the (cached, shared) field.  Beyond that bound such maps raise
   ``TooLarge``.
 """
 
@@ -35,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import gfpoly
+from .gfpoly import factor_int
 
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
@@ -70,31 +72,6 @@ class Pole:
 
 
 POLE = Pole()
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def factor_int(n: int) -> dict[int, int]:
-    """Prime factorization by trial division (fine for n <= ~2^40)."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -162,7 +139,7 @@ class FiniteField:
     of the multiplicative group."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
-        if not _is_prime(p):
+        if factor_int(p) != {p: 1}:
             raise NoPrime(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
@@ -185,8 +162,6 @@ class FiniteField:
         if p == 2:
             self._dual_masks = self._build_dual_masks()
             self._trace_mask = self._dual_masks[0]
-        self._exps = None
-        self._logs = None
         self._small_exps = None
         self._small_logs = None
 
@@ -204,11 +179,6 @@ class FiniteField:
             b //= p
             mult *= p
         return out
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -358,15 +328,13 @@ class FiniteField:
 
     def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exps, logs): exps[i] = g^i for i < 2^m - 1, logs its inverse
-        permutation (logs[0] is unused).  Built once, cached."""
-        if self._exps is None:
-            n = self.order - 1
-            exps = self.geometric_block(self.generator, n)
-            logs = np.zeros(self.order, dtype=np.int64)
-            logs[exps] = np.arange(n, dtype=np.int64)
-            self._exps = exps
-            self._logs = logs
-        return self._exps, self._logs
+        permutation (logs[0] is unused).  Built on every call and not kept:
+        16 bytes per element, so the caller owns and drops them."""
+        n = self.order - 1
+        exps = self.geometric_block(self.generator, n)
+        logs = np.zeros(self.order, dtype=np.int64)
+        logs[exps] = np.arange(n, dtype=np.int64)
+        return exps, logs
 
     def bulk_trace_bits(self, block: np.ndarray) -> np.ndarray:
         return (np.bitwise_count(block & np.uint64(self._trace_mask)) & np.uint8(1)).astype(
@@ -430,10 +398,6 @@ def make_field(p: int, m: int, modulus=None) -> FiniteField:
 
 def field_from_json_dict(obj: dict) -> FiniteField:
     return make_field(int(obj["p"]), int(obj["m"]), obj.get("modulus"))
-
-
-def trace(field: FiniteField, x: int) -> int:
-    return field.trace(x)
 
 
 def eval_rational_map(field: FiniteField, f: RationalMap, x: int):

@@ -80,13 +80,6 @@ def gcd(a: GFPoly, b: GFPoly, p: int) -> GFPoly:
     return a
 
 
-def eval_at(f: GFPoly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def derivative(f: GFPoly, p: int) -> GFPoly:
     return normalize([i * f[i] for i in range(1, len(f))], p)
 
@@ -113,24 +106,25 @@ def is_irreducible(f: GFPoly, p: int) -> bool:
     x: GFPoly = (0, 1)
     if pow_mod(x, p**n, f, p) != mod(x, f, p):
         return False
-    for r in _prime_divisors(n):
+    for r in factor_int(n):
         h = sub(pow_mod(x, p ** (n // r), f, p), x, p)
         if degree(gcd(h, f, p)) != 0:
             return False
     return True
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
+def factor_int(n: int) -> dict[int, int]:
+    """Prime factorization by trial division (fine for n <= ~2^40).  Empty
+    for n < 2, so n is prime exactly when ``factor_int(n) == {n: 1}``."""
+    out: dict[int, int] = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out[n] = out.get(n, 0) + 1
     return out
 
 

@@ -319,10 +319,11 @@ def power_sums_from_poly(f: IntPoly, r: int) -> list[int]:
     return out
 
 
-def poly_from_power_sums(s, d: int) -> IntPoly:
-    """Inverse Newton: the unique degree-d polynomial prod(1 - alpha_i t)
-    whose reciprocal-root power sums are s_1..s_d.  Raises NotPowerSums when
-    an intermediate division by n is inexact or the degree collapses."""
+def inverse_newton(s, d: int) -> IntPoly:
+    """Inverse Newton: 1 - e_1 t + e_2 t^2 - ... + (-1)^d e_d t^d, with e_n
+    the elementary symmetric functions of reciprocal roots whose power sums
+    are s_1..s_d.  Its degree may fall below d (e_d = 0).  Raises
+    NotPowerSums when an intermediate division by n is inexact."""
     s = list(s)
     if len(s) < d:
         raise ValueError(f"need at least {d} power sums, got {len(s)}")
@@ -337,13 +338,14 @@ def poly_from_power_sums(s, d: int) -> IntPoly:
         if rem:
             raise NotPowerSums(f"e_{n_} is not an integer")
         e[n_] = q
-    coeffs = [(-1) ** j * e[j] for j in range(d + 1)]
-    if d > 0 and coeffs[d] == 0:
+    return IntPoly((-1) ** j * e[j] for j in range(d + 1))
+
+
+def poly_from_power_sums(s, d: int) -> IntPoly:
+    """The unique degree-d polynomial prod(1 - alpha_i t) whose reciprocal-
+    root power sums are s_1..s_d.  Raises NotPowerSums when an intermediate
+    division by n is inexact or the degree collapses."""
+    f = inverse_newton(s, d)
+    if f.degree < d:
         raise NotPowerSums(f"degree collapses below {d}")
-    return IntPoly(coeffs)
-
-
-def support_in_tk(f: IntPoly, k: int) -> IntPoly | None:
-    """The compressed h with f(t) = h(t^k), or None when f is not supported
-    on exponents divisible by k."""
-    return f.deflate(k)
+    return f

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import PointCountSeries
-from .intpoly import IntPoly, NotPowerSums, poly_from_power_sums, power_sums_from_poly
+from .intpoly import (
+    IntPoly,
+    NotPowerSums,
+    inverse_newton,
+    poly_from_power_sums,
+    power_sums_from_poly,
+)
 
 
 class NotConsistent(ValueError):
@@ -71,7 +77,9 @@ def lpoly_from_counts(q: int, g: int, counts) -> LPolynomial:
 
     s_m = q^m + 1 - N_m gives the power sums of the reciprocal roots; the
     inverse Newton recursion gives a_1..a_g; the functional equation fills
-    a_{g+1}..a_{2g}.
+    a_{g+1}..a_{2g}.  The half a_0..a_g may end in zeros (a_g = 0 for
+    D_3, D_4 and D_5), so the degree check of ``poly_from_power_sums`` does
+    not apply to it.
     """
     counts = list(counts)
     if len(counts) < g:
@@ -82,22 +90,12 @@ def lpoly_from_counts(q: int, g: int, counts) -> LPolynomial:
         return lp
     sums = [q**m + 1 - counts[m - 1] for m in range(1, g + 1)]
     _check_weil_sums(sums, q, g)
-    e = [1] + [0] * g
-    for n_ in range(1, g + 1):
-        acc = 0
-        sign = 1
-        for i in range(1, n_ + 1):
-            acc += sign * e[n_ - i] * sums[i - 1]
-            sign = -sign
-        quot, rem = divmod(acc, n_)
-        if rem:
-            raise NotConsistent(f"Newton step e_{n_} is not an integer")
-        e[n_] = quot
-    coeffs = [0] * (2 * g + 1)
-    for j in range(g + 1):
-        coeffs[j] = (-1) ** j * e[j]
-    for j in range(g + 1, 2 * g + 1):
-        coeffs[j] = q ** (j - g) * coeffs[2 * g - j]
+    try:
+        half = inverse_newton(sums, g)
+    except NotPowerSums as exc:
+        raise NotConsistent(f"Newton step {exc}") from exc
+    coeffs = [half[j] for j in range(g + 1)]
+    coeffs += [q ** (j - g) * coeffs[2 * g - j] for j in range(g + 1, 2 * g + 1)]
     lp = LPolynomial(q=q, g=g, poly=IntPoly(coeffs))
     _cross_check_counts(lp, counts)
     return lp

@@ -196,7 +196,7 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
 
 @pytest.mark.skipif(
     os.environ.get("LPDIV_RUN_DK6") != "1",
-    reason="long-running (hours of enumeration up to m = 33); set LPDIV_RUN_DK6=1",
+    reason="long-running (about 50 s of enumeration up to m = 33 on one thread); set LPDIV_RUN_DK6=1",
 )
 def test_criterion_8_stretch_dk6():
     with criterion(8, "k = 6 divides with a two-prime split or explicit inconclusive"):

@@ -173,3 +173,13 @@ class TestGsum:
         from lpdiv.finite_fields import make_field
 
         assert gsum(k, m) == oracles.naive_char_sum(make_field(2, m), dk_map(k))
+
+    def test_reduced_exponent_matches_full_map(self):
+        # gsum counts x^(2^(k mod m)+1) + x^(-1); the full dk_map(k) must agree,
+        # including k = 0 mod m (x^2 + x^(-1)) and m = 1.
+        from lpdiv.finite_fields import char_sum, make_field
+
+        for m in range(1, 11):
+            field = make_field(2, m)
+            for k in range(1, 13):
+                assert gsum(k, m, threads=1) == char_sum(field, dk_map(k), threads=1), (k, m)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import random
 
+import numpy as np
 import pytest
 
 from lpdiv import finite_fields
@@ -17,10 +18,11 @@ from lpdiv.finite_fields import (
     field_from_json_dict,
     make_field,
     resolve_threads,
-    trace,
 )
 
 import oracles
+
+trace = finite_fields.FiniteField.trace
 
 
 X3_PLUS_INV = RationalMap(2, (1, 0, 0, 0, 1), (0, 1))  # x^3 + 1/x
@@ -74,6 +76,25 @@ class TestMakeField:
         assert f.pow_el(f.generator, n) == 1
         for r in factor_int(n):
             assert f.pow_el(f.generator, n // r) != 1
+
+    def test_factor_int_and_primality_match_naive(self):
+        for n in range(-2, 2000):
+            naive_prime = n >= 2 and all(n % d for d in range(2, n))
+            fac = factor_int(n)
+            assert (fac == {n: 1}) == naive_prime, n
+            if n < 2:
+                assert fac == {}
+                continue
+            prod = 1
+            for r, e in fac.items():
+                assert all(r % d for d in range(2, r)), (n, r)
+                prod *= r**e
+            assert prod == n
+
+    @pytest.mark.parametrize("p", [-2, 0, 1, 9])
+    def test_non_prime_characteristic_rejected(self, p):
+        with pytest.raises(NoPrime):
+            finite_fields.FiniteField(p, 1)
 
     def test_field_json_roundtrip(self):
         f = field_from_json_dict({"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]})
@@ -253,13 +274,13 @@ class TestCharSum:
     @pytest.mark.parametrize("m", [8, 11, 13])
     def test_streaming_kernel_matches_table_kernel(self, m):
         field = make_field(2, m)
-        want = char_sum(field, X3_PLUS_INV)
+        want = finite_fields._char_sum_table(field, X3_PLUS_INV)
         got = char_sum(field, X3_PLUS_INV, table_max_m=4, threads=1)
         assert got == want
 
     def test_parallel_chunking_is_deterministic(self):
         field = make_field(2, 12)
-        ref = char_sum(field, X5_PLUS_INV)
+        ref = finite_fields._char_sum_table(field, X5_PLUS_INV)
         for threads in (1, 2, 3):
             assert char_sum(field, X5_PLUS_INV, table_max_m=4, threads=threads) == ref
 
@@ -274,6 +295,15 @@ class TestCharSum:
         ones = (non_poles - s) // 2
         assert zeros + ones == non_poles
         assert zeros - ones == s
+
+    def test_power_tables_not_kept_on_the_field(self):
+        # The general-denominator kernel builds its tables per call; the
+        # cached, shared field must not keep them alive afterwards.
+        field = make_field(2, 12)
+        f = RationalMap(2, (1,), (1, 1, 1))  # 1 / (x^2 + x + 1)
+        assert f.laurent_exponents() is None
+        assert char_sum(field, f) == oracles.naive_char_sum(field, f)
+        assert not [k for k, v in vars(field).items() if isinstance(v, np.ndarray)]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

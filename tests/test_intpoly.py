@@ -13,10 +13,11 @@ from lpdiv.intpoly import (
     poly_from_power_sums,
     power_sums_from_poly,
     squarefree_over_Q,
-    support_in_tk,
 )
 
 import oracles
+
+support_in_tk = IntPoly.deflate
 
 D1_POLY = IntPoly([1, 1, 0, 2, 4])  # 4t^4 + 2t^3 + t + 1
 

@@ -45,6 +45,14 @@ class TestLpolyFromCounts:
         with pytest.raises(NotConsistent):
             lpoly_from_counts(2, 2, [4, 5])
 
+    def test_vanishing_middle_coefficient(self):
+        # D_3 has genus 5 and a_5 = 0: the half-polynomial from Newton ends in
+        # a zero, which must not count as a collapsed degree.
+        counts = count_series(dk_curve(3), 5).counts
+        lp = lpoly_from_counts(2, 5, counts)
+        assert lp.poly == L_D1.poly * IntPoly([1, 0, 0, -4, 0, 0, 8])
+        assert lp.poly[5] == 0
+
     def test_weil_bound_enforced(self):
         with pytest.raises(NotConsistent):
             lpoly_from_counts(2, 1, [9])
