@@ -1,27 +1,28 @@
 #!/usr/bin/env python3
 """The long-running k = 6 job: count y^2 + y = x^65 + x^(-1) up to m = 33
-(about 1.7e10 enumeration steps), build the genus-33 L-polynomial, divide
-by the k = 1 member and attempt the two-prime split of the quotient.
+(about 1.7e10 enumeration steps), then build the genus-33 L-polynomial,
+divide by the k = 1 member and attempt the two-prime split of the quotient
+(``lpdiv.decomp.dk_report_from_counts``).
 
-Progress is printed per extension degree; with process parallelism this is
-minutes to hours depending on the machine."""
+Progress is printed per extension degree; the counts take about a minute
+on one thread."""
 
 import argparse
 import json
 import sys
 import time
 
-from lpdiv.curves import count_points, count_series, dk_curve, genus
-from lpdiv.decomp import split_two_prime
-from lpdiv.intpoly import divides_with_quotient, format_poly
-from lpdiv.zeta import lpoly_from_counts, p_rank_manin, validate_lpoly
+from lpdiv.curves import count_points, dk_curve, genus
+from lpdiv.decomp import dk_report_from_counts
+from lpdiv.intpoly import format_poly
+from lpdiv.zeta import validate_lpoly
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--out", default="dk6_result.json")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     curve = dk_curve(6)
     g = genus(curve)
@@ -31,33 +32,31 @@ def main() -> int:
         t0 = time.time()
         counts.append(count_points(curve, m, threads=args.threads))
         print(f"m={m:2d}  N={counts[-1]:<12d}  {time.time() - t0:7.2f}s", flush=True)
-    lp = lpoly_from_counts(2, g, counts)
-    assert validate_lpoly(lp).ok
-    print(f"L = {format_poly(lp.poly)}")
-
-    d1 = lpoly_from_counts(2, 2, count_series(dk_curve(1), 2).counts)
-    divides, quotient = divides_with_quotient(d1.poly, lp.poly)
-    print(f"divides by the k=1 L-polynomial: {divides}")
-    record = {"k": 6, "genus": g, "counts": counts, "divides": divides,
-              "lpoly": format_poly(lp.poly, spaced=False),
-              "two_rank": p_rank_manin(lp, 2)}
-    if divides:
-        print(f"quotient = {format_poly(quotient)}")
-        res = split_two_prime(quotient, 2, 3)
-        record["quotient"] = format_poly(quotient, spaced=False)
-        record["split_status"] = res.status
-        if res.status == "split":
-            record["split_a_t2"] = format_poly(res.a, spaced=False)
-            record["split_b_t3"] = format_poly(res.b, spaced=False)
-            print(f"quotient = A(t^2) * B(t^3) with A = {format_poly(res.a)}, "
-                  f"B = {format_poly(res.b)}")
+    rep = dk_report_from_counts(6, counts)
+    assert validate_lpoly(rep.lpoly).ok
+    print(f"L = {format_poly(rep.lpoly.poly)}")
+    print(f"divides by the k=1 L-polynomial: {rep.divides}")
+    record = {"k": 6, "genus": g, "counts": counts, "divides": rep.divides,
+              "lpoly": format_poly(rep.lpoly.poly, spaced=False),
+              "two_rank": rep.lpoly_two_rank}
+    if rep.divides:
+        print(f"quotient = {format_poly(rep.quotient)}")
+        kind = rep.structure.kind
+        record["quotient"] = format_poly(rep.quotient, spaced=False)
+        record["split_status"] = "split" if kind == "two_prime" else kind
+        if kind == "two_prime":
+            a, b = rep.structure.parts
+            record["split_a_t2"] = format_poly(a, spaced=False)
+            record["split_b_t3"] = format_poly(b, spaced=False)
+            print(f"quotient = A(t^2) * B(t^3) with A = {format_poly(a)}, "
+                  f"B = {format_poly(b)}")
         else:
-            print(f"two-prime split: {res.status}")
+            print(f"two-prime split: {kind}")
     print(f"total {time.time() - total0:.1f}s")
     with open(args.out, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
     print(f"wrote {args.out}")
-    return 0 if divides else 1
+    return 0 if rep.divides else 1
 
 
 if __name__ == "__main__":

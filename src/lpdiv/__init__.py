@@ -54,6 +54,7 @@ from .decomp import (
     check_main_theorem_lpolys,
     converse_counts_check,
     counterexample_f3,
+    dk_report_from_counts,
     gsum_invariance_scan,
     master_identity_check,
     split_two_prime,

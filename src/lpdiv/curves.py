@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from . import gfpoly
 from .finite_fields import (
     DEFAULT_MAX_M,
-    FiniteField,
+    LOG_TABLE_MAX,
     NoPrime,
     RationalMap,
     TooLarge,
@@ -178,19 +178,22 @@ def _infinity_points_as2(f: RationalMap, m: int) -> int:
 
 def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
     field = make_field(c.p, m)
+    p, modulus = c.p, field.modulus
     rhs = c.squared_rhs()
-    half = (field.order - 1) // 2
-    if field.order <= 1 << 20:
+    if field.order <= LOG_TABLE_MAX:
         _, logs = field.small_log_tables()
         chi = lambda v: 1 if logs[v] % 2 == 0 else -1
-    else:
+    else:  # Euler's criterion
+        half = (field.order - 1) // 2
         chi = lambda v: 1 if field.pow_el(v, half) == 1 else -1
     total = 0
     for x in field.elements():
-        val = 0
+        # Horner for 4f + h^2 at x, in GF(p)[t] modulo the field modulus
+        xt = gfpoly.decode(x, p)
+        val: gfpoly.GFPoly = ()
         for coef in reversed(rhs):
-            val = field.add(field.mul(val, x), coef)
-        total += 1 if val == 0 else 1 + chi(val)
+            val = gfpoly.mod(gfpoly.add(gfpoly.mul(val, xt, p), (coef,), p), modulus, p)
+        total += 1 if not val else 1 + chi(gfpoly.encode(val, p))
     deg = gfpoly.degree(rhs)
     if deg % 2 == 1:
         total += 1

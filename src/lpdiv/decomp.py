@@ -362,18 +362,27 @@ def verify_conjecture_dk(
     divide by the k = 1 member, and analyze the quotient structure."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    g_k = (1 << (k - 1)) + 1
-    need = max(horizon or 0, g_k)
+    need = max(horizon or 0, (1 << (k - 1)) + 1)
     counts = count_series(dk_curve(k), need, threads=threads, max_m=max_m).counts
+    return dk_report_from_counts(k, counts)
+
+
+def dk_report_from_counts(k: int, counts) -> DkReport:
+    """The algebra half of ``verify_conjecture_dk``: the L-polynomial of D_k
+    from N_1..N_r (r >= genus; extra counts are cross-checked), its quotient
+    by the k = 1 member, the quotient structure and the 2-ranks."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    g_k = (1 << (k - 1)) + 1
+    counts = list(counts)
     ldk = lpoly_from_counts(2, g_k, counts)
-    d1_counts = count_series(dk_curve(1), 2, threads=threads, max_m=max_m).counts
-    ld1 = lpoly_from_counts(2, 2, d1_counts)
+    ld1 = lpoly_from_counts(2, 2, count_series(dk_curve(1), 2, threads=1).counts)
     div, quot = divides_with_quotient(ld1.poly, ldk.poly)
     structure = _quotient_structure(k, quot) if div else QuotientStructure(kind="undivided")
     return DkReport(
         k=k,
         genus=g_k,
-        horizon=need,
+        horizon=len(counts),
         lpoly=ldk,
         d1_lpoly=ld1,
         divides=div,

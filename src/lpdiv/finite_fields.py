@@ -2,8 +2,10 @@
 for p = 2.
 
 Elements are plain ints: for p = 2 the bits are coordinates in the power
-basis of the modulus; for odd p the base-p digits are.  A ``FiniteField``
-is immutable after construction and safe to share across workers.
+basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``),
+and arithmetic decodes to GF(p)[t], computes there modulo the modulus and
+encodes back.  A ``FiniteField`` is immutable after construction and safe
+to share across workers.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -42,6 +44,7 @@ DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
 _BLOCK = 1 << 16
 _CHUNK = 1 << 20
+LOG_TABLE_MAX = 1 << 20
 THREADS_ENV_VAR = "LPDIV_THREADS"
 
 
@@ -162,8 +165,6 @@ class FiniteField:
         if p == 2:
             self._dual_masks = self._build_dual_masks()
             self._trace_mask = self._dual_masks[0]
-        self._small_exps = None
-        self._small_logs = None
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -171,26 +172,13 @@ class FiniteField:
         if self.p == 2:
             return a ^ b
         p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return gfpoly.encode(gfpoly.add(gfpoly.decode(a, p), gfpoly.decode(b, p), p), p)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.m):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        return gfpoly.encode(gfpoly.sub((), gfpoly.decode(a, p), p), p)
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -205,8 +193,9 @@ class FiniteField:
                 if a & top:
                     a ^= mod_int
             return r
-        prod = gfpoly.mul(self.coeff_vector(a), self.coeff_vector(b), self.p)
-        return self.from_coeff_vector(gfpoly.mod(prod, self.modulus, self.p))
+        p = self.p
+        prod = gfpoly.mul(gfpoly.decode(a, p), gfpoly.decode(b, p), p)
+        return gfpoly.encode(gfpoly.mod(prod, self.modulus, p), p)
 
     def pow_el(self, a: int, e: int) -> int:
         if e < 0:
@@ -238,21 +227,6 @@ class FiniteField:
     def elements(self) -> range:
         return range(self.order)
 
-    def coeff_vector(self, a: int) -> tuple[int, ...]:
-        if self.p == 2:
-            return tuple((a >> i) & 1 for i in range(self.m))
-        out = []
-        for _ in range(self.m):
-            out.append(a % self.p)
-            a //= self.p
-        return tuple(out)
-
-    def from_coeff_vector(self, vec) -> int:
-        out = 0
-        for c in reversed(tuple(vec)):
-            out = out * self.p + (c % self.p)
-        return out
-
     def to_json_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
@@ -271,7 +245,7 @@ class FiniteField:
                 return cand
         raise AssertionError("no generator found; modulus not irreducible?")
 
-    def _build_dual_masks(self) -> list[int]:
+    def _build_dual_masks(self) -> tuple[int, ...]:
         # Bit j of mask i is Tr(x^(i+j)).  Tr(x^j) for j < m comes from the
         # definition; beyond that Tr is GF(2)-linear, so Tr(x^k) is the
         # parity of x^k & mask 0.
@@ -291,7 +265,7 @@ class FiniteField:
             if x & self._top_bit:
                 x ^= self._mod_int
             traces.append((x & mask0).bit_count() & 1)
-        return [sum(traces[i + j] << j for j in range(m)) for i in range(m)]
+        return tuple(sum(traces[i + j] << j for j in range(m)) for i in range(m))
 
     def trace_dual(self, c: int) -> int:
         """The mask M(c) with Tr(c*y) = parity(y & M(c)) for every y."""
@@ -356,22 +330,21 @@ class FiniteField:
     # -- small-field log tables (odd p) -------------------------------------
 
     def small_log_tables(self) -> tuple[list[int], list[int]]:
-        """Discrete log/antilog lists for small fields (Zech-style usage:
-        quadratic characters, inverses); order capped at 2^22."""
-        if self.order > 1 << 22:
-            raise TooLarge("log tables capped at order 2^22")
-        if self._small_exps is None:
-            n = self.order - 1
-            exps = [1] * max(n, 1)
-            logs = [0] * self.order
-            x = 1
-            for i in range(n):
-                exps[i] = x
-                logs[x] = i
-                x = self.mul(x, self.generator)
-            self._small_exps = exps
-            self._small_logs = logs
-        return self._small_exps, self._small_logs
+        """(exps, logs): exps[i] = g^i for i < order - 1, logs its inverse
+        (quadratic characters from the parity of logs[v]).  Built on every
+        call and not kept on the (cached, shared) field; orders above
+        ``LOG_TABLE_MAX`` raise TooLarge."""
+        if self.order > LOG_TABLE_MAX:
+            raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
+        n = self.order - 1
+        exps = [1] * max(n, 1)
+        logs = [0] * self.order
+        x = 1
+        for i in range(n):
+            exps[i] = x
+            logs[x] = i
+            x = self.mul(x, self.generator)
+        return exps, logs
 
 
 @lru_cache(maxsize=None)

@@ -296,27 +296,18 @@ def power_sums_from_poly(f: IntPoly, r: int) -> list[int]:
     a0 = f[0]
     d = f.degree
     if a0 in (1, -1):
-        b = [f[j] * a0 for j in range(d + 1)]  # a0 == 1/a0 here
-        sums: list = [0] * (r + 1)
-        for n_ in range(1, r + 1):
-            acc = -n_ * b[n_] if n_ <= d else 0
-            for j in range(1, min(n_ - 1, d) + 1):
-                acc -= b[j] * sums[n_ - j]
-            sums[n_] = acc
-        return sums[1:]
-    b = [Fraction(f[j], a0) for j in range(d + 1)]
-    sums = [Fraction(0)] * (r + 1)
+        b = [f[j] * a0 for j in range(d + 1)]  # a0 == 1/a0: stays integral
+    else:
+        b = [Fraction(f[j], a0) for j in range(d + 1)]
+    sums: list = [0] * (r + 1)
     for n_ in range(1, r + 1):
-        acc = -n_ * b[n_] if n_ <= d else Fraction(0)
+        acc = -n_ * b[n_] if n_ <= d else 0
         for j in range(1, min(n_ - 1, d) + 1):
             acc -= b[j] * sums[n_ - j]
         sums[n_] = acc
-    out = []
-    for s in sums[1:]:
-        if s.denominator != 1:
-            raise ValueError("power sums are not integral for this polynomial")
-        out.append(int(s))
-    return out
+    if any(s.denominator != 1 for s in sums):
+        raise ValueError("power sums are not integral for this polynomial")
+    return [int(s) for s in sums[1:]]
 
 
 def inverse_newton(s, d: int) -> IntPoly:

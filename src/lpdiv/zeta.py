@@ -84,10 +84,6 @@ def lpoly_from_counts(q: int, g: int, counts) -> LPolynomial:
     counts = list(counts)
     if len(counts) < g:
         raise ValueError(f"need at least g = {g} counts, got {len(counts)}")
-    if g == 0:
-        lp = LPolynomial(q=q, g=0, poly=IntPoly([1]))
-        _cross_check_counts(lp, counts)
-        return lp
     sums = [q**m + 1 - counts[m - 1] for m in range(1, g + 1)]
     _check_weil_sums(sums, q, g)
     try:

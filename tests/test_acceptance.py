@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The long-running k = 6
-job (criterion 8) is skipped unless LPDIV_RUN_DK6=1 is set; see
-scripts/run_dk6.py for the standalone version.
+job (criterion 8) is skipped unless LPDIV_RUN_DK6=1 is set;
+scripts/run_dk6.py runs the same job standalone with per-degree progress,
+and tests/test_decomp.py checks its algebra on the recorded counts.
 """
 
 import json

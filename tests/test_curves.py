@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from lpdiv import curves
 from lpdiv.curves import (
     ArtinSchreierCurve,
     NotReduced,
@@ -16,7 +17,7 @@ from lpdiv.curves import (
     gsum,
     two_rank_deuring,
 )
-from lpdiv.finite_fields import RationalMap, TooLarge
+from lpdiv.finite_fields import FiniteField, RationalMap, TooLarge
 
 import oracles
 
@@ -134,6 +135,21 @@ class TestCountPoints:
         square_lead = OddHyperellipticCurve(3, (), (2, 1, 0, 0, 1))  # lc 1: square
         nonsquare_lead = OddHyperellipticCurve(3, (), (1, 1, 0, 0, 2))  # lc 2
         for c in (square_lead, nonsquare_lead):
+            assert count_points(c, m) == oracles.naive_count_hyper(c, m)
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_hyper_odd_euler_criterion_matches_naive(self, m, monkeypatch):
+        # Fields above the log-table cap take quadratic characters from
+        # Euler's criterion; a cap of 0 sends every field down that branch.
+        monkeypatch.setattr(curves, "LOG_TABLE_MAX", 0)
+
+        def refuse(self):
+            raise AssertionError("log tables built above the cap")
+
+        monkeypatch.setattr(FiniteField, "small_log_tables", refuse)
+        square_lead = OddHyperellipticCurve(3, (), (2, 1, 0, 0, 1))
+        nonsquare_lead = OddHyperellipticCurve(3, (), (1, 1, 0, 0, 2))
+        for c in (HYPER3, square_lead, nonsquare_lead):
             assert count_points(c, m) == oracles.naive_count_hyper(c, m)
 
     def test_d6_counts_match_recorded_run(self):

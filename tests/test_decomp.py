@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from math import gcd
 
@@ -13,16 +15,18 @@ from lpdiv.decomp import (
     check_main_theorem_lpolys,
     converse_counts_check,
     counterexample_f3,
+    dk_report_from_counts,
     gsum_invariance_scan,
     master_identity_check,
     split_two_prime,
     verify_conjecture_dk,
 )
-from lpdiv.intpoly import IntPoly
+from lpdiv.intpoly import IntPoly, format_poly
 from lpdiv.zeta import LPolynomial, counts_from_lpoly, lpoly_from_counts
 
 import oracles
 
+DK6_RESULT = pathlib.Path(__file__).resolve().parent.parent / "dk6_result.json"
 L_D1 = LPolynomial(q=2, g=2, poly=IntPoly([1, 1, 0, 2, 4]))
 L_X3 = LPolynomial(q=2, g=1, poly=IntPoly([1, 0, 2]))
 
@@ -153,6 +157,22 @@ class TestVerifyConjectureDk:
         rep = verify_conjecture_dk(2, horizon=8)
         assert rep.horizon == 8
         assert rep.divides
+
+    def test_report_from_recorded_dk6_counts(self):
+        # The genus-33 algebra on the recorded k = 6 counts, without counting.
+        record = json.loads(DK6_RESULT.read_text())
+        rep = dk_report_from_counts(6, record["counts"])
+        assert rep.genus == record["genus"] == 33
+        assert format_poly(rep.lpoly.poly, spaced=False) == record["lpoly"]
+        assert rep.divides
+        assert format_poly(rep.quotient, spaced=False) == record["quotient"]
+        assert rep.structure.kind == "two_prime"
+        assert rep.structure.primes == (2, 3)
+        a, b = rep.structure.parts
+        assert format_poly(a, spaced=False) == record["split_a_t2"]
+        assert format_poly(b, spaced=False) == record["split_b_t3"] == "8t^2-4t+1"
+        assert a.inflate(2) * b.inflate(3) == rep.quotient
+        assert rep.lpoly_two_rank == record["two_rank"]
 
 
 class TestSplitTwoPrime:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lpdiv import finite_fields
-from lpdiv.curves import dk_map
+from lpdiv.curves import OddHyperellipticCurve, count_points, dk_curve, dk_map
 from lpdiv.finite_fields import (
     POLE,
     ModulusReducible,
@@ -119,6 +119,36 @@ class TestFieldArithmetic:
             assert f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
             assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
             assert f.add(a, f.neg(a)) == 0
+
+    @pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3)])
+    def test_odd_add_neg_digitwise_exhaustive(self, p, m):
+        f = make_field(p, m)
+
+        def digits(a):
+            return [a // p**i % p for i in range(m)]
+
+        def undigits(ds):
+            return sum(d * p**i for i, d in enumerate(ds))
+
+        for a in f.elements():
+            assert f.neg(a) == undigits([-d % p for d in digits(a)])
+            for b in f.elements():
+                want = undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+                assert f.add(a, b) == want
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 1)])
+    def test_small_log_tables_are_inverse(self, p, m):
+        f = make_field(p, m)
+        exps, logs = f.small_log_tables()
+        assert sorted(exps) == list(range(1, f.order))
+        assert all(logs[x] == i for i, x in enumerate(exps))
+        assert all(f.mul(exps[i], f.generator) == exps[i + 1] for i in range(f.order - 2))
+
+    def test_small_log_tables_capped(self, monkeypatch):
+        monkeypatch.setattr(finite_fields, "LOG_TABLE_MAX", 8)
+        with pytest.raises(TooLarge):
+            make_field(3, 2).small_log_tables()
+        assert len(make_field(2, 3).small_log_tables()[1]) == 8
 
 
 class TestTrace:
@@ -304,6 +334,18 @@ class TestCharSum:
         assert f.laurent_exponents() is None
         assert char_sum(field, f) == oracles.naive_char_sum(field, f)
         assert not [k for k, v in vars(field).items() if isinstance(v, np.ndarray)]
+
+    @pytest.mark.parametrize("curve,p,m", [
+        (OddHyperellipticCurve(3, (), (1, 2, 0, 1)), 3, 4),
+        (OddHyperellipticCurve(5, (0, 1), (2, 1, 0, 3, 0, 1)), 5, 3),
+        (dk_curve(2), 2, 12),
+    ])
+    def test_no_tables_kept_on_the_field_after_a_count(self, curve, p, m):
+        # Log and power tables are built per call; the cached, shared field
+        # keeps no list or array alive once a count is done.
+        field = make_field(p, m)
+        count_points(curve, m)
+        assert not [k for k, v in vars(field).items() if isinstance(v, (list, np.ndarray))]
 
     def test_too_large(self):
         with pytest.raises(TooLarge):

@@ -168,6 +168,15 @@ class TestPowerSums:
         # -(1 - t): reciprocal root 1
         assert power_sums_from_poly(IntPoly([-1, 1]), 3) == [1, 1, 1]
 
+    def test_non_unit_constant_term(self):
+        # 2 + 4t = 2(1 + 2t): reciprocal root -2
+        assert power_sums_from_poly(IntPoly([2, 4]), 3) == [-2, 4, -8]
+
+    def test_non_integral_sums_rejected(self):
+        # 2 - t = 2(1 - t/2): reciprocal root 1/2
+        with pytest.raises(ValueError):
+            power_sums_from_poly(IntPoly([2, -1]), 3)
+
     @given(unit_head_poly, unit_head_poly)
     @settings(max_examples=150)
     def test_multiplicativity(self, f, g):
