@@ -1,10 +1,11 @@
 """Exact arithmetic in GF(p^m) for small p, with bulk character-sum kernels
-for p = 2.
+for p = 2 and power/log tables for every p.
 
 Elements are plain ints: for p = 2 the bits are coordinates in the power
 basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``),
 and arithmetic decodes to GF(p)[t], computes there modulo the modulus and
-encodes back.  A ``FiniteField`` is immutable after construction and safe
+encodes back; ``bulk_decode``/``bulk_encode`` do the same encoding on
+numpy arrays.  A ``FiniteField`` is immutable after construction and safe
 to share across workers.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
@@ -275,7 +276,7 @@ class FiniteField:
                 out ^= mask
         return out
 
-    # -- bulk kernels (p = 2) ----------------------------------------------
+    # -- bulk kernels -------------------------------------------------------
 
     def _byte_tables(self, c: int) -> np.ndarray:
         """tables[b][v] = c * (v << 8b) for v in [0, 256); multiplying a whole
@@ -294,6 +295,14 @@ class FiniteField:
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(block)
+        if self.p != 2:
+            # x -> c*x is GF(p)-linear: row j of the matrix is c * t^j
+            rows = self.bulk_decode(np.array([self.mul(c, self.p**j) for j in range(self.m)]))
+            out = np.empty_like(block)
+            for lo in range(0, len(block), _BLOCK):
+                digits = self.bulk_decode(block[lo : lo + _BLOCK])
+                out[lo : lo + _BLOCK] = self.bulk_encode(digits @ rows % self.p)
+            return out
         tables = self._byte_tables(c)
         out = tables[0][block & np.uint64(0xFF)]
         for b in range(1, tables.shape[0]):
@@ -301,14 +310,26 @@ class FiniteField:
         return out
 
     def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, logs): exps[i] = g^i for i < 2^m - 1, logs its inverse
-        permutation (logs[0] is unused).  Built on every call and not kept:
-        16 bytes per element, so the caller owns and drops them."""
+        """(exps, logs): exps[i] = g^i for i < order - 1 (uint64 codes),
+        logs its inverse permutation (int64; logs[0] is unused).  Built on
+        every call and not kept: 16 bytes per element, so the caller owns
+        and drops them."""
         n = self.order - 1
         exps = self.geometric_block(self.generator, n)
         logs = np.zeros(self.order, dtype=np.int64)
         logs[exps] = np.arange(n, dtype=np.int64)
         return exps, logs
+
+    def bulk_decode(self, codes: np.ndarray) -> np.ndarray:
+        """Base-p digits of each code (``gfpoly.decode`` padded to m), one
+        int64 row per element."""
+        powers = self.p ** np.arange(self.m, dtype=np.int64)
+        return codes.astype(np.int64)[:, None] // powers % self.p
+
+    def bulk_encode(self, digits: np.ndarray) -> np.ndarray:
+        """Codes of digit rows with entries in [0, p): the inverse of
+        ``bulk_decode``."""
+        return digits @ (self.p ** np.arange(self.m, dtype=np.int64))
 
     def bulk_trace_bits(self, block: np.ndarray) -> np.ndarray:
         return (np.bitwise_count(block & np.uint64(self._trace_mask)) & np.uint8(1)).astype(
@@ -316,7 +337,9 @@ class FiniteField:
         )
 
     def geometric_block(self, ratio: int, length: int) -> np.ndarray:
-        """[ratio^0, ratio^1, ..., ratio^(length-1)] by repeated doubling."""
+        """[ratio^0, ratio^1, ..., ratio^(length-1)] by repeated doubling:
+        each step multiplies the filled prefix by ratio^filled (byte tables
+        for p = 2, an m x m digit matrix over GF(p) for odd p)."""
         out = np.zeros(length, dtype=np.uint64)
         out[0] = 1
         filled = 1
@@ -329,25 +352,20 @@ class FiniteField:
 
     # -- small-field log tables (odd p) -------------------------------------
 
-    def small_log_tables(self) -> tuple[list[int], list[int]]:
-        """(exps, logs): exps[i] = g^i for i < order - 1, logs its inverse
-        (quadratic characters from the parity of logs[v]).  Built on every
-        call and not kept on the (cached, shared) field; orders above
-        ``LOG_TABLE_MAX`` raise TooLarge."""
+    def small_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``power_tables`` for fields of order at most ``LOG_TABLE_MAX``
+        (larger orders raise TooLarge), both as int64: exps[i] = g^i for
+        i < order - 1 and logs its inverse, 16 bytes per element.  The
+        odd-p counting kernel walks x = g^i through exps and takes
+        quadratic characters from the parity of logs[v].  Built on every
+        call and not kept on the (cached, shared) field."""
         if self.order > LOG_TABLE_MAX:
             raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
-        n = self.order - 1
-        exps = [1] * max(n, 1)
-        logs = [0] * self.order
-        x = 1
-        for i in range(n):
-            exps[i] = x
-            logs[x] = i
-            x = self.mul(x, self.generator)
-        return exps, logs
+        exps, logs = self.power_tables()
+        return exps.view(np.int64), logs
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # a field is rebuilt equal (same modulus and generator) after eviction
 def _cached_field(p: int, m: int, modulus: tuple[int, ...] | None) -> FiniteField:
     return FiniteField(p, m, modulus)
 
@@ -363,8 +381,8 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
 
 
 def make_field(p: int, m: int, modulus=None) -> FiniteField:
-    """Field constructor; instances are cached and shared (they are
-    immutable)."""
+    """Field constructor; instances are cached (the 128 most recently used)
+    and shared (they are immutable)."""
     mod_key = tuple(int(c) for c in modulus) if modulus is not None else None
     return _cached_field(p, m, mod_key)
 

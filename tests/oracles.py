@@ -22,6 +22,14 @@ def _norm(f, p):
     return tuple(f)
 
 
+def _polymul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return _norm(out, p)
+
+
 def _polymod(a, b, p):
     a = list(a)
     inv = pow(b[-1], p - 2, p)
@@ -118,30 +126,42 @@ def naive_count_as2(curve, m: int) -> int:
 
 def naive_count_hyper(curve, m: int) -> int:
     """Count solutions of y^2 + h(x) y = f(x) pair by pair; at infinity,
-    count square roots of the leading coefficient by enumeration."""
-    field = make_field(curve.p, m)
+    count square roots of the leading coefficient of 4f + h^2 by
+    enumeration.  GF(p^m) is GF(p)[t] modulo ``first_irreducible(p, m)``,
+    with schoolbook multiply-and-reduce on coefficient tuples here: neither
+    ``FiniteField`` nor ``lpdiv.gfpoly`` is used."""
+    p = curve.p
+    modulus = first_irreducible(p, m)
+
+    def mul(a, b):
+        return _polymod(_polymul(a, b, p), modulus, p)
+
+    def add(a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return _norm([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)], p)
+
+    def evaluate(coeffs, x):
+        acc = ()
+        for c in reversed(coeffs):
+            acc = add(mul(acc, x), (c,))
+        return acc
+
+    elements = [_norm(coeffs[:-1], p) for coeffs in _monic_polys(m, p)]
+    squares = [mul(y, y) for y in elements]
     total = 0
-    for x in field.elements():
-        hx = _eval(field, curve.h, x)
-        fx = _eval(field, curve.f, x)
-        for y in field.elements():
-            lhs = field.add(field.mul(y, y), field.mul(hx, y))
-            if lhs == fx:
+    for x in elements:
+        hx = evaluate(curve.h, x)
+        fx = evaluate(curve.f, x)
+        for y, y2 in zip(elements, squares):
+            if add(y2, mul(hx, y)) == fx:
                 total += 1
-    rhs = curve.squared_rhs()
+    rhs = add(_norm([4 * c for c in curve.f], p), _polymul(curve.h, curve.h, p))
     if (len(rhs) - 1) % 2 == 1:
         total += 1
     else:
-        lead = rhs[-1] % curve.p
-        total += sum(1 for z in field.elements() if field.mul(z, z) == lead)
+        total += squares.count((rhs[-1],))
     return total
-
-
-def _eval(field, coeffs, x):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 # -- integer polynomial oracles ----------------------------------------------

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The long-running k = 6
-job (criterion 8) is skipped unless LPDIV_RUN_DK6=1 is set;
+job (criterion 8) is marked `slow` and skipped unless LPDIV_RUN_DK6=1 is
+set (`LPDIV_RUN_DK6=1 pytest -m slow` runs it alone);
 scripts/run_dk6.py runs the same job standalone with per-degree progress,
 and tests/test_decomp.py checks its algebra on the recorded counts.
 """
@@ -195,6 +196,7 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
         assert verdicts[Verdict.HOLDS] >= 40  # the criterion actually fires
 
 
+@pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("LPDIV_RUN_DK6") != "1",
     reason="long-running (about 50 s of enumeration up to m = 33 on one thread); set LPDIV_RUN_DK6=1",

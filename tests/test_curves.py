@@ -1,9 +1,10 @@
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
-from lpdiv import curves
+from lpdiv import curves, finite_fields, gfpoly
 from lpdiv.curves import (
     ArtinSchreierCurve,
     NotReduced,
@@ -17,7 +18,8 @@ from lpdiv.curves import (
     gsum,
     two_rank_deuring,
 )
-from lpdiv.finite_fields import FiniteField, RationalMap, TooLarge
+from lpdiv.finite_fields import FiniteField, RationalMap, TooLarge, make_field
+from lpdiv.zeta import counts_from_lpoly, lpoly_from_counts
 
 import oracles
 
@@ -199,3 +201,96 @@ class TestGsum:
             field = make_field(2, m)
             for k in range(1, 13):
                 assert gsum(k, m, threads=1) == char_sum(field, dk_map(k), threads=1), (k, m)
+
+
+# (p, h, f, largest m for the brute-force oracle).  Together they cover
+# p = 3, 5, 7, h != 0, 4f + h^2 vanishing at x = 0, and even degree with a
+# square and a non-square leading coefficient.
+ODD_KERNEL_CASES = [
+    (3, (0, 1), (0, 2, 1, 0, 0, 1), 4),  # 4f + h^2 = 2t + 2t^2 + t^5
+    (3, (), (2, 1, 0, 0, 1), 4),  # even degree, leading 1: square
+    (3, (), (1, 1, 0, 0, 2), 4),  # even degree, leading 2: non-square
+    (5, (0, 0, 1), (0, 1, 1, 0, 0, 1), 3),  # 4t + 4t^2 + t^4 + 4t^5
+    (5, (1,), (1, 1, 0, 0, 4), 3),  # 4t + t^4: vanishes at 0, square lead
+    (5, (), (1, 2, 0, 1, 3), 3),  # leading 2: non-square mod 5
+    (7, (0, 1), (0, 1, 2, 0, 0, 1), 2),  # 4t + 2t^2 + 4t^5
+    (7, (), (1, 1, 0, 0, 2), 2),  # leading 1: square
+    (7, (1,), (1, 1, 0, 0, 6), 2),  # 5 + 4t + 3t^4: non-square lead
+]
+
+# Genus >= 2 curves for the large-field check: (p, h, f, m).
+ODD_LARGE_CASES = [
+    (3, (), (1, 1, 0, 0, 0, 0, 0, 1), 10),  # genus 3
+    (3, (1, 1), (0, 0, 0, 0, 0, 1), 12),  # genus 2, h != 0
+    (5, (0, 1), (1, 2, 0, 3, 0, 1), 7),  # genus 2, h != 0
+    (7, (1,), (2, 1, 0, 0, 0, 1), 5),  # genus 2, h != 0
+]
+
+
+class TestOddKernel:
+    """The generator-walk kernel behind odd-characteristic counts."""
+
+    @pytest.mark.parametrize("p,h,f,m_max", ODD_KERNEL_CASES)
+    def test_matches_naive(self, p, h, f, m_max):
+        c = OddHyperellipticCurve(p, h, f)
+        for m in range(1, m_max + 1):
+            assert count_points(c, m) == oracles.naive_count_hyper(c, m)
+
+    def test_oracle_shares_no_arithmetic_with_the_library(self, monkeypatch):
+        # A fault in gfpoly or FiniteField arithmetic must not reach the
+        # brute-force reference as well as the kernel.
+        c = OddHyperellipticCurve(*ODD_KERNEL_CASES[0][:3])
+        want = count_points(c, 3)
+
+        def refuse(*args):
+            raise AssertionError("library arithmetic used by the oracle")
+
+        for name in ("add", "sub", "mul", "mod", "divmod_", "encode", "decode"):
+            monkeypatch.setattr(gfpoly, name, refuse)
+        for name in ("add", "neg", "mul"):
+            monkeypatch.setattr(FiniteField, name, refuse)
+        assert oracles.naive_count_hyper(c, 3) == want
+
+    def test_cases_cover_the_branches(self):
+        rhs = [OddHyperellipticCurve(p, h, f).squared_rhs() for p, h, f, _ in ODD_KERNEL_CASES]
+        for p in (3, 5, 7):
+            cases = [(r, h) for (q, h, _, _), r in zip(ODD_KERNEL_CASES, rhs) if q == p]
+            assert any(h for _, h in cases)
+            assert any(r[0] == 0 for r, _ in cases)
+            even = [r[-1] for r, _ in cases if (len(r) - 1) % 2 == 0]
+            assert {pow(lead, (p - 1) // 2, p) for lead in even} == {1, p - 1}
+
+    @pytest.mark.parametrize("p,h,f,m", ODD_LARGE_CASES)
+    def test_large_field_matches_lpoly_prediction(self, p, h, f, m):
+        # N_1..N_g from the brute-force oracle fix the L-polynomial; its
+        # power sums then predict N_m, an independent route to the count.
+        c = OddHyperellipticCurve(p, h, f)
+        g = genus(c)
+        assert g >= 2
+        assert p**m <= curves.LOG_TABLE_MAX
+        first = [oracles.naive_count_hyper(c, k) for k in range(1, g + 1)]
+        want = counts_from_lpoly(lpoly_from_counts(p, g, first), m).counts[-1]
+        assert count_points(c, m) == want
+
+    @pytest.mark.parametrize("p,m", [(3, 7), (5, 5), (7, 3)])
+    def test_chunking_does_not_change_the_count(self, p, m, monkeypatch):
+        c = [OddHyperellipticCurve(*case[:3]) for case in ODD_KERNEL_CASES if case[0] == p]
+        want = [count_points(x, m) for x in c]
+        n = p**m - 1
+        monkeypatch.setattr(curves, "_ODD_CHUNK", 97)
+        monkeypatch.setattr(finite_fields, "_BLOCK", 89)
+        assert n % 97 and (n // 2) % 89
+        assert [count_points(x, m) for x in c] == want
+
+    def test_memory_is_bounded(self):
+        # Only exps and logs (8 bytes per element each, 8.5 MB here) grow
+        # with the field; everything else is per chunk.
+        c = OddHyperellipticCurve(*ODD_LARGE_CASES[1][:3])
+        make_field(3, 12)
+        tracemalloc.start()
+        try:
+            count_points(c, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20

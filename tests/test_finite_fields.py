@@ -96,6 +96,18 @@ class TestMakeField:
         with pytest.raises(NoPrime):
             finite_fields.FiniteField(p, 1)
 
+    def test_evicted_field_is_rebuilt_equal(self):
+        maxsize = finite_fields._cached_field.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 64
+        first = make_field(3, 5)
+        primes = [q for q in range(5, 10_000) if factor_int(q) == {q: 1}][:maxsize]
+        assert len(primes) == maxsize
+        for q in primes:
+            make_field(q, 1)
+        again = make_field(3, 5)
+        assert again is not first
+        assert (again.modulus, again.generator) == (first.modulus, first.generator)
+
     def test_field_json_roundtrip(self):
         f = field_from_json_dict({"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]})
         assert f.to_json_dict() == {"p": 2, "m": 4, "modulus": [1, 1, 0, 0, 1]}
@@ -136,7 +148,7 @@ class TestFieldArithmetic:
                 want = undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
                 assert f.add(a, b) == want
 
-    @pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 1)])
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 2), (7, 1), (3, 9), (5, 4)])
     def test_small_log_tables_are_inverse(self, p, m):
         f = make_field(p, m)
         exps, logs = f.small_log_tables()
