@@ -4,7 +4,7 @@
 divide by the k = 1 member and attempt the two-prime split of the quotient
 (``lpdiv.decomp.dk_report_from_counts``).
 
-Progress is printed per extension degree; the counts take about a minute
+Progress is printed per extension degree; the counts take a few seconds
 on one thread."""
 
 import argparse

@@ -12,16 +12,27 @@ The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
 realizations:
 
-* a mask kernel, for every map with a monomial denominator (a Laurent
+* a packed kernel, for every map with a monomial denominator (a Laurent
   polynomial sum of c_e x^e) at every m.  Tr(c*y) is GF(2)-linear in y, so
   it equals parity(y & M(c)), where the trace-dual mask M(c) is the XOR of
-  m precomputed masks over the set bits of c (the trace bilinear form).
-  Per block of consecutive indices i, each exponent contributes
-  g^(e*i) = g^(e*start) * T_e[i - start], with T_e a precomputed geometric
-  table; its trace term costs one AND with M(g^(e*start)) and one XOR per
-  element.  The index range is cut into ranges that may run in parallel
-  processes; partial sums are exact ints, so the result does not depend on
-  the partitioning;
+  m precomputed masks over the set bits of c (the trace bilinear form,
+  which is symmetric: Tr(c*y) = parity(c & M(y)) too).  Indices are cut
+  into blocks of L = 2^ceil(m/2), within [64, 4096] (``_block_length``),
+  so small fields do not pay for long tables.  In block t each exponent
+  contributes g^(e*i) = c_t * T_e[j] with T_e[j] = g^(e*j), j < L, fixed.
+  Bit k of M(T_e[j]), over j, is a row of L bits packed 64 to a uint64
+  word, and Four-Russians tables (``_xor_tables``) hold the XOR of every
+  subset of 8 consecutive rows, so the L trace bits of a block are one
+  gather per byte of c_t and exponent, and the block adds L - 2*popcount.
+  The starts c_t come per chunk of ``_STARTS`` blocks from one geometric
+  block per exponent and one constant multiplication per chunk; gathers
+  run ``_BATCH`` blocks at a time, and bits of the last block past the
+  range end are masked, so any index range [lo, hi) can be summed.  Memory
+  is bounded by these chunk sizes, not by the field.  Fields with more
+  than ``_CHUNK`` = 2^27 nonzero elements are cut into ranges that run in
+  parallel processes (below that, starting the processes costs more than
+  it saves); partial sums are exact ints, so the result does not depend
+  on the partitioning;
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: one full power table g^0..g^(N-1) with its inverse
   permutation, after which the map is evaluated on the whole group with
@@ -43,8 +54,11 @@ from .gfpoly import factor_int
 
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
-_BLOCK = 1 << 16
-_CHUNK = 1 << 20
+_BLOCK = 1 << 16  # digit rows per step of an odd-p constant multiplication
+_TABLE_CHUNK = 1 << 20  # indices per step of the table kernel
+_CHUNK = 1 << 27  # fewest indices per worker process of the packed kernel
+_STARTS = 1 << 12  # block starts of the packed kernel computed at once
+_BATCH = 1 << 10  # blocks of the packed kernel gathered at once
 LOG_TABLE_MAX = 1 << 20
 THREADS_ENV_VAR = "LPDIV_THREADS"
 
@@ -136,6 +150,30 @@ class RationalMap:
             return None
         j = support[0]
         return tuple(e - j for e, c in enumerate(self.num) if c)
+
+
+def _xor_tables(rows: np.ndarray) -> np.ndarray:
+    """Four-Russians tables of a GF(2)-linear map given by the images
+    ``rows[k]`` of the basis bits 1 << k: tables[b, v] is the XOR of
+    rows[8b + i] over the set bits i of the byte v.  ``rows`` is a uint64
+    array of shape (k, ...); the tables have shape (ceil(k/8), 256, ...)."""
+    nbytes = (len(rows) + 7) // 8
+    padded = np.zeros((nbytes * 8,) + rows.shape[1:], dtype=np.uint64)
+    padded[: len(rows)] = rows
+    padded = padded.reshape((nbytes, 8, 1) + rows.shape[1:])
+    tables = np.zeros((nbytes, 256) + rows.shape[1:], dtype=np.uint64)
+    for i in range(8):
+        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ padded[:, i]
+    return tables
+
+
+def _xor_gather(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The map of ``_xor_tables`` applied to every code: the XOR over b of
+    tables[b][byte b of the code]."""
+    out = tables[0][codes & np.uint64(0xFF)]
+    for b in range(1, len(tables)):
+        out ^= tables[b][(codes >> np.uint64(8 * b)) & np.uint64(0xFF)]
+    return out
 
 
 class FiniteField:
@@ -279,18 +317,15 @@ class FiniteField:
     # -- bulk kernels -------------------------------------------------------
 
     def _byte_tables(self, c: int) -> np.ndarray:
-        """tables[b][v] = c * (v << 8b) for v in [0, 256); multiplying a whole
-        uint64 array by the constant c is then a few table gathers."""
-        nbytes = (self.m + 7) // 8
-        tables = np.zeros((nbytes, 256), dtype=np.uint64)
-        t = c
-        for row in tables:
-            for i in range(8):
-                row[1 << i : 2 << i] = row[: 1 << i] ^ np.uint64(t)
-                t <<= 1
-                if t & self._top_bit:
-                    t ^= self._mod_int
-        return tables
+        """Four-Russians tables of y -> c*y: rows c * x^k for k < m, so
+        multiplying a whole uint64 array by c is a few table gathers."""
+        rows = []
+        for _ in range(self.m):
+            rows.append(c)
+            c <<= 1
+            if c & self._top_bit:
+                c ^= self._mod_int
+        return _xor_tables(np.array(rows, dtype=np.uint64))
 
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
         if c == 0:
@@ -303,11 +338,13 @@ class FiniteField:
                 digits = self.bulk_decode(block[lo : lo + _BLOCK])
                 out[lo : lo + _BLOCK] = self.bulk_encode(digits @ rows % self.p)
             return out
-        tables = self._byte_tables(c)
-        out = tables[0][block & np.uint64(0xFF)]
-        for b in range(1, tables.shape[0]):
-            out ^= tables[b][(block >> np.uint64(8 * b)) & np.uint64(0xFF)]
-        return out
+        return _xor_gather(self._byte_tables(c), block)
+
+    def bulk_trace_dual(self, block: np.ndarray) -> np.ndarray:
+        """``trace_dual`` of every code in a uint64 array: M(c) is
+        GF(2)-linear in c, so it is a few gathers from the byte tables of
+        the m dual masks."""
+        return _xor_gather(_xor_tables(np.array(self._dual_masks, dtype=np.uint64)), block)
 
     def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exps, logs): exps[i] = g^i for i < order - 1 (uint64 codes),
@@ -337,17 +374,22 @@ class FiniteField:
         )
 
     def geometric_block(self, ratio: int, length: int) -> np.ndarray:
-        """[ratio^0, ratio^1, ..., ratio^(length-1)] by repeated doubling:
-        each step multiplies the filled prefix by ratio^filled (byte tables
-        for p = 2, an m x m digit matrix over GF(p) for odd p)."""
+        """[ratio^0, ratio^1, ..., ratio^(length-1)]: the first 16 by scalar
+        products, then by repeated doubling, each step multiplying the filled
+        prefix by ratio^filled (byte tables for p = 2, an m x m digit matrix
+        over GF(p) for odd p, which cost more than scalar products below
+        16 elements)."""
         out = np.zeros(length, dtype=np.uint64)
-        out[0] = 1
-        filled = 1
-        while filled < length:
+        filled = min(length, 16)
+        c = 1
+        for i in range(filled):
+            out[i] = c
+            c = self.mul(c, ratio)
+        while filled < length:  # c = ratio^filled
             step = min(filled, length - filled)
-            c = self.pow_el(ratio, filled)
             out[filled : filled + step] = self._const_mul_block(c, out[:step])
             filled += step
+            c = self.mul(c, c)
         return out
 
     # -- small-field log tables (odd p) -------------------------------------
@@ -454,8 +496,8 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     num_terms = [e for e, c in enumerate(f.num) if c]
     den_terms = [e for e, c in enumerate(f.den) if c]
     total = _zero_point_term(field, f)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo in range(0, n, _TABLE_CHUNK):
+        hi = min(lo + _TABLE_CHUNK, n)
         i = np.arange(lo, hi, dtype=np.int64)
 
         def eval_terms(terms):
@@ -478,35 +520,47 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     return total
 
 
+def _block_length(m: int) -> int:
+    """Indices per block of the packed kernel: 2^ceil(m/2), within
+    [64, 4096], so small fields do not pay for long tables."""
+    return 1 << min(12, max(6, (m + 1) // 2))
+
+
 def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int) -> int:
     """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi."""
-    if not exponents:
-        return hi - lo  # f = 0
+    if not exponents or hi == lo:
+        return hi - lo  # f = 0, or nothing to sum
     n = field.order - 1
     g = field.generator
-    length = min(_BLOCK, n)
-    tables = [field.geometric_block(field.pow_el(g, e % n), length) for e in exponents]
-    steps = [field.pow_el(g, e * length % n) for e in exponents]
-    coeffs = [field.pow_el(g, e * lo % n) for e in exponents]
-    w = np.empty(length, dtype=np.uint64)
-    term = np.empty(length, dtype=np.uint64)
-    bits = np.empty(length, dtype=np.uint8)
-    partial = 0
-    for start in range(lo, hi, length):
-        cnt = min(length, hi - start)
-        w_blk = w[:cnt]
-        for k, table in enumerate(tables):
-            # coeffs[k] = g^(e*start), so Tr(g^(e*i)) = parity(table[i - start] & M(coeffs[k]))
-            mask = np.uint64(field.trace_dual(coeffs[k]))
-            if k == 0:
-                np.bitwise_and(table[:cnt], mask, out=w_blk)
-            else:
-                w_blk ^= np.bitwise_and(table[:cnt], mask, out=term[:cnt])
-            coeffs[k] = field.mul(coeffs[k], steps[k])
-        odd = np.bitwise_count(w_blk, out=bits[:cnt])
-        odd &= np.uint8(1)
-        partial += cnt - 2 * int(np.count_nonzero(odd))
-    return partial
+    length = _block_length(field.m)
+    blocks = -(-(hi - lo) // length)
+    per_chunk = min(_STARTS, blocks)
+    shifts = np.arange(field.m, dtype=np.uint64)[:, None]
+    tables, steps, jumps, firsts = [], [], [], []
+    for e in exponents:
+        # x = g^(lo + t*length + j) gives x^e = c_t * T[j], and
+        # Tr(c_t * T[j]) = parity(c_t & M(T[j])): the rows are the bits of M(T[j])
+        masks = field.bulk_trace_dual(field.geometric_block(field.pow_el(g, e % n), length))
+        bits = ((masks >> shifts) & np.uint64(1)).astype(np.uint8)
+        tables.append(_xor_tables(np.packbits(bits, axis=1, bitorder="little").view(np.uint64)))
+        # c_t for a chunk of blocks is its first c_t times (g^(e*length))^s
+        steps.append(field.geometric_block(field.pow_el(g, e * length % n), per_chunk))
+        jumps.append(field.pow_el(g, e * length * per_chunk % n))
+        firsts.append(field.pow_el(g, e * lo % n))
+    ones = 0
+    for t0 in range(0, blocks, per_chunk):
+        cnt = min(per_chunk, blocks - t0)
+        starts = [field._const_mul_block(c, step[:cnt]) for c, step in zip(firsts, steps)]
+        firsts = [field.mul(c, jump) for c, jump in zip(firsts, jumps)]
+        for s in range(0, cnt, _BATCH):
+            acc = _xor_gather(tables[0], starts[0][s : s + _BATCH])
+            for table, c in zip(tables[1:], starts[1:]):
+                acc ^= _xor_gather(table, c[s : s + _BATCH])
+            if t0 + s + len(acc) == blocks:  # the last block stops at hi
+                tail = hi - lo - (blocks - 1) * length
+                acc[-1] &= np.packbits(np.arange(length) < tail, bitorder="little").view(np.uint64)
+            ones += int(np.bitwise_count(acc).sum())
+    return hi - lo - 2 * ones
 
 
 def _stream_job(args) -> int:

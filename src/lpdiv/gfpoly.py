@@ -95,14 +95,26 @@ def pow_mod(base: GFPoly, e: int, modulus: GFPoly, p: int) -> GFPoly:
     return result
 
 
+def evaluate(f: GFPoly, a: int, p: int) -> int:
+    """f(a) in GF(p), by Horner."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * a + c) % p
+    return acc
+
+
 def is_irreducible(f: GFPoly, p: int) -> bool:
     """Rabin's test: x^(p^n) = x mod f, and x^(p^(n/r)) - x coprime to f
-    for every prime r dividing n."""
+    for every prime r dividing n.  A root in GF(p) is a linear factor, so
+    the p field points are tried first: most reducible candidates stop
+    there, before any modular power."""
     n = degree(f)
     if n < 1:
         return False
     if n == 1:
         return True
+    if any(evaluate(f, a, p) == 0 for a in range(p)):
+        return False
     x: GFPoly = (0, 1)
     if pow_mod(x, p**n, f, p) != mod(x, f, p):
         return False

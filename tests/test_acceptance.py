@@ -1,14 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The long-running k = 6
-job (criterion 8) is marked `slow` and skipped unless LPDIV_RUN_DK6=1 is
-set (`LPDIV_RUN_DK6=1 pytest -m slow` runs it alone);
+Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 8 counts the
+k = 6 curve up to m = 33 (a few seconds on one thread);
 scripts/run_dk6.py runs the same job standalone with per-degree progress,
 and tests/test_decomp.py checks its algebra on the recorded counts.
 """
 
 import json
-import os
 import pathlib
 import random
 from contextlib import contextmanager
@@ -196,11 +194,6 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
         assert verdicts[Verdict.HOLDS] >= 40  # the criterion actually fires
 
 
-@pytest.mark.slow
-@pytest.mark.skipif(
-    os.environ.get("LPDIV_RUN_DK6") != "1",
-    reason="long-running (about 50 s of enumeration up to m = 33 on one thread); set LPDIV_RUN_DK6=1",
-)
 def test_criterion_8_stretch_dk6():
     with criterion(8, "k = 6 divides with a two-prime split or explicit inconclusive"):
         rep = verify_conjecture_dk(6)

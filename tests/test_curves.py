@@ -156,8 +156,8 @@ class TestCountPoints:
 
     def test_d6_counts_match_recorded_run(self):
         recorded = pathlib.Path(__file__).resolve().parent.parent / "dk6_result.json"
-        want = json.loads(recorded.read_text())["counts"][:24]
-        assert list(count_series(dk_curve(6), 24, threads=1).counts) == want
+        want = json.loads(recorded.read_text())["counts"][:28]
+        assert list(count_series(dk_curve(6), 28, threads=1).counts) == want
 
     def test_gsum_relation(self):
         # N_m = 2^m + 1 + G_m for the family (two ramified places)

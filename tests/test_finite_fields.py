@@ -1,10 +1,11 @@
 import concurrent.futures
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lpdiv import finite_fields
+from lpdiv import finite_fields, gfpoly
 from lpdiv.curves import OddHyperellipticCurve, count_points, dk_curve, dk_map
 from lpdiv.finite_fields import (
     POLE,
@@ -53,6 +54,12 @@ class TestMakeField:
     @pytest.mark.parametrize("p,m", [(2, 3), (2, 8), (3, 3), (5, 2), (7, 1)])
     def test_default_modulus_matches_bruteforce(self, p, m):
         assert make_field(p, m).modulus == oracles.first_irreducible(p, m)
+
+    @pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4)])
+    def test_is_irreducible_matches_trial_division(self, p, max_deg):
+        for deg in range(max_deg + 1):
+            for f in gfpoly.monic_polys(deg, p):
+                assert gfpoly.is_irreducible(f, p) == oracles.is_irreducible_bruteforce(f, p), f
 
     def test_composite_characteristic_rejected(self):
         with pytest.raises(NoPrime):
@@ -189,6 +196,12 @@ class TestTrace:
             for y in f.elements():
                 assert f.trace(f.mul(c, y)) == (y & mask).bit_count() & 1
 
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_bulk_trace_dual_exhaustive(self, m):
+        f = make_field(2, m)
+        masks = f.bulk_trace_dual(np.arange(f.order, dtype=np.uint64))
+        assert masks.tolist() == [f.trace_dual(c) for c in f.elements()]
+
     @pytest.mark.parametrize("p,m", [(2, 6), (2, 9), (3, 3), (5, 2)])
     def test_linearity_and_frobenius(self, p, m):
         f = make_field(p, m)
@@ -282,9 +295,16 @@ class TestCharSum:
         for f in (D6_MAP, X5_PLUS_INV, _laurent([7, -3, 0])):
             assert char_sum(field, f, threads=1) == finite_fields._char_sum_table(field, f)
 
-    @pytest.mark.parametrize("block", [finite_fields._BLOCK, 100])
-    def test_range_partition_is_deterministic(self, monkeypatch, block):
-        monkeypatch.setattr(finite_fields, "_BLOCK", block)
+    @pytest.mark.parametrize(
+        "batch,chunk",
+        [(finite_fields._BATCH, finite_fields._STARTS), (3, 5)],
+        ids=["default", "small"],
+    )
+    def test_range_partition_is_deterministic(self, monkeypatch, batch, chunk):
+        # (3, 5): batches and chunks of blocks that do not divide the 64
+        # blocks of the whole range, nor each other.
+        monkeypatch.setattr(finite_fields, "_BATCH", batch)
+        monkeypatch.setattr(finite_fields, "_STARTS", chunk)
         field = make_field(2, 12)
         n = field.order - 1
         exps = D6_MAP.laurent_exponents()
@@ -305,13 +325,26 @@ class TestCharSum:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
-        field = make_field(2, 12)
-        assert char_sum(field, D6_MAP, threads=4) == char_sum(field, D6_MAP, threads=1)
+        for m in (12, 24):
+            field = make_field(2, m)
+            assert char_sum(field, D6_MAP, threads=4) == char_sum(field, D6_MAP, threads=1)
 
     def test_process_pool_matches_one_worker(self):
-        field = make_field(2, 21)
-        assert field.order - 1 > finite_fields._CHUNK  # two workers get a range each
+        field = make_field(2, 28)  # the smallest field that gets two workers
+        assert field.order - 1 > finite_fields._CHUNK >= 2**27 - 1
         assert char_sum(field, D6_MAP, threads=2) == char_sum(field, D6_MAP, threads=1)
+
+    def test_packed_kernel_memory_is_bounded(self):
+        # Tables, block starts and gathers are per chunk of blocks, so the
+        # peak does not grow with the field.
+        field = make_field(2, 30)
+        tracemalloc.start()
+        try:
+            char_sum(field, D6_MAP, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
     @pytest.mark.parametrize("m", [8, 11, 13])
     def test_streaming_kernel_matches_table_kernel(self, m):
