@@ -193,7 +193,7 @@ def run(config: argparse.Namespace) -> int:
         sys.stdout.write(emit_report(payload, config.fmt))
         return EXIT_OK
     if cmd == "verify-dk":
-        if config.k >= 6:
+        if config.k >= 7:
             sys.stderr.write(
                 f"note: k = {config.k} needs counts up to m = {2 ** (config.k - 1) + 1}; "
                 "this is a long-running job\n"

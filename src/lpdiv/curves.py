@@ -17,11 +17,11 @@ has a pole there).  The pole-place contributions cancel against the
 excluded x values, leaving N_m = 2^m + char_sum + (infinity term).
 
 For odd hyperelliptic curves each x carries 1 + chi(4f(x) + h(x)^2)
-points, chi the quadratic character.  Fields of order up to
-``LOG_TABLE_MAX`` are walked as x = g^i in numpy index chunks: x^e is a
-gather from the power table, 4f + h^2 a digitwise sum mod p, and chi(v)
-= (-1)^log(v).  Larger fields take chi from Euler's criterion, one x at a
-time.
+points, chi the quadratic character.  One walk (``_odd_walk``) serves
+every field size: over a chunk of x = g^i, the digits of 4f + h^2 are one
+matmul of fixed digit rows of g^(e*j) by digit matrices over GF(p), and
+chi is a lookup in a bitmap of the squares g^(2i), filled by the same
+walk.  Memory is the bitmap (one byte per element) plus per-chunk rows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 from . import gfpoly
 from .finite_fields import (
     DEFAULT_MAX_M,
-    LOG_TABLE_MAX,
     FiniteField,
     NoPrime,
     RationalMap,
@@ -43,7 +42,7 @@ from .finite_fields import (
 )
 
 
-_ODD_CHUNK = 1 << 15  # x values per step of the odd-p counting kernel
+_ODD_CHUNK = 1 << 14  # most x values per chunk of the odd-p counting walk
 
 
 class NotReduced(ValueError):
@@ -190,55 +189,45 @@ def _infinity_points_as2(f: RationalMap, m: int) -> int:
 
 
 def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
-    field = make_field(c.p, m)
     rhs = c.squared_rhs()
-    if field.order <= LOG_TABLE_MAX:
-        exps, logs = field.small_log_tables()
-        chi = lambda v: -1 if logs[v] & 1 else 1
-        total = _affine_count_walk(field, rhs, exps, logs)
-    else:  # Euler's criterion
-        p, modulus = c.p, field.modulus
-        half = (field.order - 1) // 2
-        chi = lambda v: 1 if field.pow_el(v, half) == 1 else -1
-        total = 0
-        for x in field.elements():
-            # Horner for 4f + h^2 at x, in GF(p)[t] modulo the field modulus
-            xt = gfpoly.decode(x, p)
-            val: gfpoly.GFPoly = ()
-            for coef in reversed(rhs):
-                val = gfpoly.mod(gfpoly.add(gfpoly.mul(val, xt, p), (coef,), p), modulus, p)
-            total += 1 if not val else 1 + chi(gfpoly.encode(val, p))
-    deg = gfpoly.degree(rhs)
-    if deg % 2 == 1:
-        total += 1
-    else:
-        total += 1 + chi(rhs[-1])
-    return total
+    if max(c.p**m, len(rhs) * m * c.p**2) >= 1 << 53:
+        raise TooLarge(f"GF({c.p}^{m}) exceeds the exact float64 range of the counting walk")
+    field = make_field(c.p, m)
+    n = field.order - 1
+    length = min(_ODD_CHUNK, n, 1 << (n.bit_length() + 5) // 2)  # about 6 sqrt(n), capped
+    # g^k for every k <= e * length, e a term of rhs or of x^2
+    powers = field.geometric_block(field.generator, max(len(rhs) - 1, 2) * length + 1)
+    squares = np.zeros(field.order, dtype=bool)  # the nonzero squares g^(2i)
+    for v in _odd_walk(field, powers, length, (0, 0, 1), n // 2):
+        squares[v] = True
+    chi = lambda v: 0 if v == 0 else 1 if squares[v] else -1
+    total = 1 + chi(rhs[0])  # x = 0
+    for v in _odd_walk(field, powers, length, rhs, n):
+        total += int(np.count_nonzero(v == 0)) + 2 * int(np.count_nonzero(squares[v]))
+    return total + (1 if gfpoly.degree(rhs) % 2 == 1 else 1 + chi(rhs[-1]))  # infinity
 
 
-def _affine_count_walk(
-    field: FiniteField, rhs: gfpoly.GFPoly, exps: np.ndarray, logs: np.ndarray
-) -> int:
-    """Sum over x in the field of 1 + chi(F(x)), F = rhs, chi(0) = 0.
+def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.GFPoly, count):
+    """Codes of poly(g^i) for i < count, one array per chunk of ``length``
+    indices; powers[k] = g^k for every k <= deg(poly) * length.
 
-    x = g^i is walked in index chunks: x^e = exps[e*i mod n], so F(x) is
-    the digitwise sum mod p of the scaled digits of one gather per nonzero
-    term, and chi(v) = (-1)^logs[v]."""
-    p, n = field.p, field.order - 1
-    f0 = rhs[0]
-    total = 1 if f0 == 0 else 2 - 2 * int(logs[f0] & 1)  # x = 0
-    terms = [(e, coef) for e, coef in enumerate(rhs) if e and coef]
-    for lo in range(0, n, _ODD_CHUNK):
-        i = np.arange(lo, min(lo + _ODD_CHUNK, n), dtype=np.int64)
-        digits = np.zeros((len(i), field.m), dtype=np.int64)
-        digits[:, 0] = f0
-        for e, coef in terms:
-            digits += coef * field.bulk_decode(exps[e * i % n])
-        v = field.bulk_encode(digits % p)
-        zero = v == 0
-        square = ~zero & (logs[v] & 1 == 0)
-        total += int(np.count_nonzero(zero)) + 2 * int(np.count_nonzero(square))
-    return total
+    For i = s + j the digits of c*x^e are those of g^(e*j), rows gathered
+    from powers, times the digit matrix of y -> c*g^(e*s)*y (advanced by
+    that of g^(e*length) per chunk), so a chunk is one float64 matmul over
+    all terms: exact while p^m and (deg + 1) * m * p^2 stay below 2^53."""
+    p, m = field.p, field.m
+    terms = [(e, coef) for e, coef in enumerate(poly) if e and coef]
+    rows = np.empty((length, len(terms) * m))
+    for k, (e, _) in enumerate(terms):
+        rows[:, k * m : (k + 1) * m] = field.bulk_decode(powers[: e * length : e])
+    mats = field.mul_matrices(field.bulk_decode(np.array([coef for _, coef in terms])))
+    jumps = field.mul_matrices(field.bulk_decode(powers[[e * length for e, _ in terms]]))
+    scale = p ** np.arange(m, dtype=np.float64)
+    for s in range(0, count, length):
+        digits = rows[: count - s] @ mats.reshape(-1, m)
+        digits[:, 0] += poly[0]
+        yield ((digits % p) @ scale).astype(np.int64)
+        mats = mats @ jumps % p
 
 
 def count_series(
@@ -250,6 +239,8 @@ def count_series(
 ) -> PointCountSeries:
     """N_1..N_r, each checked against the Weil bound |N - q^m - 1| <=
     2g sqrt(q^m) before it is returned."""
+    if r > max_m:  # refuse before counting anything
+        raise TooLarge(f"m = {max_m + 1} exceeds the enumeration bound {max_m}")
     q = base_field_size(c)
     g = genus(c)
     counts = []

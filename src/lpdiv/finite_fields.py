@@ -1,12 +1,13 @@
 """Exact arithmetic in GF(p^m) for small p, with bulk character-sum kernels
-for p = 2 and power/log tables for every p.
+for p = 2 and bulk digit arithmetic for odd p.
 
 Elements are plain ints: for p = 2 the bits are coordinates in the power
 basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``),
 and arithmetic decodes to GF(p)[t], computes there modulo the modulus and
 encodes back; ``bulk_decode``/``bulk_encode`` do the same encoding on
-numpy arrays.  A ``FiniteField`` is immutable after construction and safe
-to share across workers.
+numpy arrays, and ``mul_matrices`` gives the m x m digit matrices over
+GF(p) of multiplications by constants.  A ``FiniteField`` is immutable
+after construction and safe to share across workers.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -204,6 +205,9 @@ class FiniteField:
         if p == 2:
             self._dual_masks = self._build_dual_masks()
             self._trace_mask = self._dual_masks[0]
+        else:  # t^i mod the modulus, i < 2m - 1: y -> c*y maps t^j to sum c_k t^(j+k)
+            monomials = ((0,) * i + (1,) for i in range(2 * m - 1))
+            self._reduced = tuple(gfpoly.encode(gfpoly.mod(t, modulus, p), p) for t in monomials)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -331,14 +335,21 @@ class FiniteField:
         if c == 0:
             return np.zeros_like(block)
         if self.p != 2:
-            # x -> c*x is GF(p)-linear: row j of the matrix is c * t^j
-            rows = self.bulk_decode(np.array([self.mul(c, self.p**j) for j in range(self.m)]))
+            rows = self.mul_matrices(self.bulk_decode(np.array([c])))[0]
             out = np.empty_like(block)
             for lo in range(0, len(block), _BLOCK):
                 digits = self.bulk_decode(block[lo : lo + _BLOCK])
                 out[lo : lo + _BLOCK] = self.bulk_encode(digits @ rows % self.p)
             return out
         return _xor_gather(self._byte_tables(c), block)
+
+    def mul_matrices(self, digits: np.ndarray) -> np.ndarray:
+        """For odd p, the m x m digit matrix over GF(p) of y -> c*y for each
+        digit row of c (shape (..., m) -> (..., m, m)): the digits of c*y
+        are digits(y) @ matrix mod p."""
+        k = np.arange(self.m)
+        tensor = self.bulk_decode(np.array(self._reduced))[k[:, None] + k]  # [k, j]: t^(j+k)
+        return np.tensordot(digits, tensor, axes=1) % self.p
 
     def bulk_trace_dual(self, block: np.ndarray) -> np.ndarray:
         """``trace_dual`` of every code in a uint64 array: M(c) is
@@ -397,10 +408,8 @@ class FiniteField:
     def small_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """``power_tables`` for fields of order at most ``LOG_TABLE_MAX``
         (larger orders raise TooLarge), both as int64: exps[i] = g^i for
-        i < order - 1 and logs its inverse, 16 bytes per element.  The
-        odd-p counting kernel walks x = g^i through exps and takes
-        quadratic characters from the parity of logs[v].  Built on every
-        call and not kept on the (cached, shared) field."""
+        i < order - 1 and logs its inverse, 16 bytes per element.  Built on
+        every call and not kept on the (cached, shared) field."""
         if self.order > LOG_TABLE_MAX:
             raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
         exps, logs = self.power_tables()

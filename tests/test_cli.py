@@ -156,6 +156,34 @@ class TestErrors:
         assert code == 1
 
 
+class TestVerifyDkNote:
+    def test_k6_writes_nothing_to_stderr(self, capsys, monkeypatch):
+        # k = 6 takes seconds, so it gets no long-running-job note
+        import lpdiv.cli as cli_mod
+        from lpdiv.decomp import dk_report_from_counts
+
+        recorded = json.loads((SAMPLES.parent / "dk6_result.json").read_text())
+        report = dk_report_from_counts(6, recorded["counts"])
+        monkeypatch.setattr(cli_mod, "verify_conjecture_dk", lambda *args, **kwargs: report)
+        code, out, err = run_cli(capsys, "verify-dk", "--k", "6")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["quotient"] == recorded["quotient"]
+
+    def test_k7_refused_before_counting(self, capsys, monkeypatch):
+        from lpdiv import curves
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a series that exceeds the bound")
+
+        monkeypatch.setattr(curves, "count_points", refuse)
+        code, out, err = run_cli(capsys, "verify-dk", "--k", "7")
+        assert (code, out) == (1, "")
+        assert err == (
+            "note: k = 7 needs counts up to m = 65; this is a long-running job\n"
+            "error: m = 35 exceeds the enumeration bound 34\n"
+        )
+
+
 class TestExitCodeTwo:
     def test_violation_verdict_maps_to_exit_two(self, capsys, monkeypatch):
         # a ViolationFound verdict cannot be produced by honest inputs, so

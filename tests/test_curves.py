@@ -19,7 +19,7 @@ from lpdiv.curves import (
     two_rank_deuring,
 )
 from lpdiv.finite_fields import FiniteField, RationalMap, TooLarge, make_field
-from lpdiv.zeta import counts_from_lpoly, lpoly_from_counts
+from lpdiv.zeta import LPolynomial, counts_from_lpoly, lpoly_from_counts
 
 import oracles
 
@@ -141,14 +141,13 @@ class TestCountPoints:
 
     @pytest.mark.parametrize("m", range(1, 4))
     def test_hyper_odd_euler_criterion_matches_naive(self, m, monkeypatch):
-        # Fields above the log-table cap take quadratic characters from
-        # Euler's criterion; a cap of 0 sends every field down that branch.
-        monkeypatch.setattr(curves, "LOG_TABLE_MAX", 0)
-
+        # Odd-p counting takes quadratic characters from a bitmap of the
+        # squares at every field size: it never builds power or log tables.
         def refuse(self):
-            raise AssertionError("log tables built above the cap")
+            raise AssertionError("power or log tables built by odd-p counting")
 
         monkeypatch.setattr(FiniteField, "small_log_tables", refuse)
+        monkeypatch.setattr(FiniteField, "power_tables", refuse)
         square_lead = OddHyperellipticCurve(3, (), (2, 1, 0, 0, 1))
         nonsquare_lead = OddHyperellipticCurve(3, (), (1, 1, 0, 0, 2))
         for c in (HYPER3, square_lead, nonsquare_lead):
@@ -174,6 +173,14 @@ class TestCountPoints:
     def test_too_large(self):
         with pytest.raises(TooLarge):
             count_points(dk_curve(1), 10, max_m=9)
+
+    def test_series_beyond_the_bound_refused_before_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a series that exceeds the bound")
+
+        monkeypatch.setattr(curves, "count_points", refuse)
+        with pytest.raises(TooLarge, match=r"^m = 35 exceeds the enumeration bound 34$"):
+            count_series(dk_curve(7), 65)
 
     def test_bad_extension_degree(self):
         with pytest.raises(ValueError):
@@ -267,7 +274,6 @@ class TestOddKernel:
         c = OddHyperellipticCurve(p, h, f)
         g = genus(c)
         assert g >= 2
-        assert p**m <= curves.LOG_TABLE_MAX
         first = [oracles.naive_count_hyper(c, k) for k in range(1, g + 1)]
         want = counts_from_lpoly(lpoly_from_counts(p, g, first), m).counts[-1]
         assert count_points(c, m) == want
@@ -279,18 +285,42 @@ class TestOddKernel:
         n = p**m - 1
         monkeypatch.setattr(curves, "_ODD_CHUNK", 97)
         monkeypatch.setattr(finite_fields, "_BLOCK", 89)
-        assert n % 97 and (n // 2) % 89
+        assert n % 97 and (n // 2) % 97  # the count and the squares walks end mid-chunk
         assert [count_points(x, m) for x in c] == want
 
     def test_memory_is_bounded(self):
-        # Only exps and logs (8 bytes per element each, 8.5 MB here) grow
-        # with the field; everything else is per chunk.
+        # Only the squares bitmap (one byte per element, 1.5 MB here) grows
+        # with the field; everything else is per chunk.  Log tables alone
+        # would take 25.5 MB.
         c = OddHyperellipticCurve(*ODD_LARGE_CASES[1][:3])
-        make_field(3, 12)
+        make_field(3, 13)
         tracemalloc.start()
         try:
-            count_points(c, 12)
+            count_points(c, 13)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 40 * 2**20
+        assert peak <= 16 * 2**20
+
+    def test_beyond_the_exact_float64_range_is_refused(self):
+        # 4 * 1 * p^2 >= 2^53: a chunk's digit sums could round in float64
+        with pytest.raises(TooLarge, match="exact float64 range"):
+            count_points(OddHyperellipticCurve(67108879, (), (1, 1, 0, 1)), 1)
+        with pytest.raises(TooLarge, match="exact float64 range"):  # 3^34 >= 2^53
+            count_points(HYPER3, 34)
+
+    def test_verified_f3_curves_reproduce_the_counterexample(self):
+        # The published F_3 pair from two curves: N_m agree for m coprime to
+        # 6 and differ at m = 2, every count as its L-polynomial predicts.
+        # m = 13 (1.6 million elements) is counted directly.
+        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+        counts = {}
+        for name in ("lc", "ld"):
+            curve = curve_from_json_dict(json.loads((samples / f"f3_{name}_curve.json").read_text()))
+            lp = LPolynomial.from_json_dict(json.loads((samples / f"f3_{name}.json").read_text()))
+            want = counts_from_lpoly(lp, 13).counts
+            counts[name] = {m: count_points(curve, m) for m in (1, 2, 5, 7, 11, 13)}
+            assert counts[name] == {m: want[m - 1] for m in counts[name]}
+        assert counts["lc"][13] == counts["ld"][13] == 1592765
+        assert all(counts["lc"][m] == counts["ld"][m] for m in (1, 5, 7, 11, 13))
+        assert counts["lc"][2] != counts["ld"][2]

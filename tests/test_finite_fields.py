@@ -163,6 +163,15 @@ class TestFieldArithmetic:
         assert all(logs[x] == i for i, x in enumerate(exps))
         assert all(f.mul(exps[i], f.generator) == exps[i + 1] for i in range(f.order - 2))
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (3, 3), (5, 2), (7, 2)])
+    def test_mul_matrices_exhaustive(self, p, m):
+        f = make_field(p, m)
+        digits = f.bulk_decode(np.arange(f.order))
+        mats = f.mul_matrices(digits)
+        for c in f.elements():
+            want = [f.mul(c, y) for y in f.elements()]
+            assert f.bulk_encode(digits @ mats[c] % p).tolist() == want
+
     def test_small_log_tables_capped(self, monkeypatch):
         monkeypatch.setattr(finite_fields, "LOG_TABLE_MAX", 8)
         with pytest.raises(TooLarge):
