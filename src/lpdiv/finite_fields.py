@@ -35,9 +35,14 @@ realizations:
   it saves); partial sums are exact ints, so the result does not depend
   on the partitioning;
 * a table kernel, for denominators that are not monomials, at
-  m <= ``TABLE_MAX_M``: one full power table g^0..g^(N-1) with its inverse
-  permutation, after which the map is evaluated on the whole group with
-  vectorized index arithmetic.  The tables are built per call and not kept
+  m <= ``TABLE_MAX_M``: compact tables in the log domain, exps[i] = g^i
+  (uint32), logs its inverse (int32) and trl[i] = Tr(g^i) (uint8), 9 bytes
+  per element, filled by one chunked walk of g (``power_tables``).  The
+  group is then walked in chunks of ``_TABLE_CHUNK`` indices: at x = g^i
+  each term x^e is exps[e*i mod n], where e*j mod n for j in the chunk is
+  fixed and a chunk only adds e*lo mod n and subtracts n where the sum
+  reaches n; N(x) and D(x) are XORs of such terms, and Tr(N/D) is
+  trl[logs[N] - logs[D] mod n].  The tables are built per call and not kept
   on the (cached, shared) field.  Beyond that bound such maps raise
   ``TooLarge``.
 """
@@ -56,11 +61,12 @@ from .gfpoly import factor_int
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
 _BLOCK = 1 << 16  # digit rows per step of an odd-p constant multiplication
-_TABLE_CHUNK = 1 << 20  # indices per step of the table kernel
+_TABLE_CHUNK = 1 << 15  # indices per step of the table kernel and its table walk
 _CHUNK = 1 << 27  # fewest indices per worker process of the packed kernel
 _STARTS = 1 << 12  # block starts of the packed kernel computed at once
 _BATCH = 1 << 10  # blocks of the packed kernel gathered at once
 LOG_TABLE_MAX = 1 << 20
+POWER_TABLE_MAX = 1 << 30
 THREADS_ENV_VAR = "LPDIV_THREADS"
 
 
@@ -352,21 +358,38 @@ class FiniteField:
         return np.tensordot(digits, tensor, axes=1) % self.p
 
     def bulk_trace_dual(self, block: np.ndarray) -> np.ndarray:
-        """``trace_dual`` of every code in a uint64 array: M(c) is
+        """``trace_dual`` of every code in a uint64 array of any shape: M(c) is
         GF(2)-linear in c, so it is a few gathers from the byte tables of
         the m dual masks."""
         return _xor_gather(_xor_tables(np.array(self._dual_masks, dtype=np.uint64)), block)
 
-    def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, logs): exps[i] = g^i for i < order - 1 (uint64 codes),
-        logs its inverse permutation (int64; logs[0] is unused).  Built on
-        every call and not kept: 16 bytes per element, so the caller owns
-        and drops them."""
+    def power_tables(self, *, traces: bool = False) -> tuple[np.ndarray, ...]:
+        """(exps, logs): exps[i] = g^i for i < order - 1 (uint32 codes) and
+        logs its inverse permutation (int32; logs[0] is unused), 8 bytes per
+        element.  With ``traces`` (p = 2) also trl, trl[i] = Tr(g^i) as
+        uint8, one byte more.  One walk of g fills them chunk by chunk: a
+        geometric block of ``_TABLE_CHUNK`` powers, times g^lo per chunk.
+        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so a sum of
+        two indices stays exact in int32.  Built on every call and not
+        kept, so the caller owns and drops them."""
+        if self.order > POWER_TABLE_MAX:
+            raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
         n = self.order - 1
-        exps = self.geometric_block(self.generator, n)
-        logs = np.zeros(self.order, dtype=np.int64)
-        logs[exps] = np.arange(n, dtype=np.int64)
-        return exps, logs
+        chunk = min(_TABLE_CHUNK, n)
+        block = self.geometric_block(self.generator, chunk)
+        jump = self.pow_el(self.generator, chunk)
+        exps = np.empty(n, dtype=np.uint32)
+        logs = np.zeros(self.order, dtype=np.int32)
+        trl = np.empty(n, dtype=np.uint8) if traces else None
+        c = 1
+        for lo in range(0, n, chunk):
+            vals = self._const_mul_block(c, block[: n - lo])  # g^i for lo <= i < lo + chunk
+            exps[lo : lo + chunk] = vals
+            logs[vals] = np.arange(lo, lo + len(vals), dtype=np.int32)
+            if traces:
+                trl[lo : lo + chunk] = self.bulk_trace_bits(vals)
+            c = self.mul(c, jump)
+        return (exps, logs, trl) if traces else (exps, logs)
 
     def bulk_decode(self, codes: np.ndarray) -> np.ndarray:
         """Base-p digits of each code (``gfpoly.decode`` padded to m), one
@@ -380,9 +403,8 @@ class FiniteField:
         return digits @ (self.p ** np.arange(self.m, dtype=np.int64))
 
     def bulk_trace_bits(self, block: np.ndarray) -> np.ndarray:
-        return (np.bitwise_count(block & np.uint64(self._trace_mask)) & np.uint8(1)).astype(
-            np.int64
-        )
+        """Tr of every code in a uint64 array, as uint8."""
+        return np.bitwise_count(block & np.uint64(self._trace_mask)) & np.uint8(1)
 
     def geometric_block(self, ratio: int, length: int) -> np.ndarray:
         """[ratio^0, ratio^1, ..., ratio^(length-1)]: the first 16 by scalar
@@ -413,7 +435,7 @@ class FiniteField:
         if self.order > LOG_TABLE_MAX:
             raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
         exps, logs = self.power_tables()
-        return exps.view(np.int64), logs
+        return exps.astype(np.int64), logs.astype(np.int64)
 
 
 @lru_cache(maxsize=128)  # a field is rebuilt equal (same modulus and generator) after eviction
@@ -501,31 +523,37 @@ def _zero_point_term(field: FiniteField, f: RationalMap) -> int:
 
 def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     n = field.order - 1
-    exps, logs = field.power_tables()
+    exps, logs, trl = field.power_tables(traces=True)
+    chunk = min(_TABLE_CHUNK, n)
+    j = np.arange(chunk, dtype=np.int64)
     num_terms = [e for e, c in enumerate(f.num) if c]
     den_terms = [e for e, c in enumerate(f.den) if c]
+    # x = g^(lo + j) gives x^e = exps[s] with s = steps[e][j] + (e*lo mod n)
+    # less n where s >= n: in uint32, min(s, s - n), as s - n wraps if s < n
+    steps = {e: (e * j % n).astype(np.uint32) for e in {*num_terms, *den_terms} if e}
+    n32 = np.uint32(n)
+
+    def eval_terms(terms, lo, k):
+        vals = np.zeros(k, dtype=np.uint32)
+        for e in terms:
+            if e == 0:
+                vals ^= np.uint32(1)
+            else:
+                idx = steps[e][:k] + np.uint32(e * lo % n)
+                vals ^= np.take(exps, np.minimum(idx, idx - n32))
+        return vals
+
     total = _zero_point_term(field, f)
-    for lo in range(0, n, _TABLE_CHUNK):
-        hi = min(lo + _TABLE_CHUNK, n)
-        i = np.arange(lo, hi, dtype=np.int64)
-
-        def eval_terms(terms):
-            vals = np.zeros(hi - lo, dtype=np.uint64)
-            for e in terms:
-                if e == 0:
-                    vals ^= np.uint64(1)
-                else:
-                    vals ^= exps[(e * i) % n]
-            return vals
-
-        num_vals = eval_terms(num_terms)
-        den_vals = eval_terms(den_terms)
+    for lo in range(0, n, chunk):
+        k = min(chunk, n - lo)
+        num_vals = eval_terms(num_terms, lo, k)
+        den_vals = eval_terms(den_terms, lo, k)
         defined = den_vals != 0
-        nz = defined & (num_vals != 0)
-        f_vals = np.zeros_like(num_vals)
-        f_vals[nz] = exps[(logs[num_vals[nz]] - logs[den_vals[nz]]) % n]
-        tr = field.bulk_trace_bits(f_vals)
-        total += int(defined.sum()) - 2 * int(tr[defined].sum())
+        # Tr(N/D) = trl[log N - log D mod n]; points with N = 0 or D = 0
+        # read some entry of trl and are masked out
+        d = (np.take(logs, num_vals) - np.take(logs, den_vals)).view(np.uint32) + n32
+        tr = np.take(trl, np.minimum(d, d - n32)).view(bool) & defined & (num_vals != 0)
+        total += int(np.count_nonzero(defined)) - 2 * int(np.count_nonzero(tr))
     return total
 
 
@@ -545,11 +573,11 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
     blocks = -(-(hi - lo) // length)
     per_chunk = min(_STARTS, blocks)
     shifts = np.arange(field.m, dtype=np.uint64)[:, None]
+    # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], and
+    # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): the rows are the bits of M(T_e[j])
+    powers = np.stack([field.geometric_block(field.pow_el(g, e % n), length) for e in exponents])
     tables, steps, jumps, firsts = [], [], [], []
-    for e in exponents:
-        # x = g^(lo + t*length + j) gives x^e = c_t * T[j], and
-        # Tr(c_t * T[j]) = parity(c_t & M(T[j])): the rows are the bits of M(T[j])
-        masks = field.bulk_trace_dual(field.geometric_block(field.pow_el(g, e % n), length))
+    for e, masks in zip(exponents, field.bulk_trace_dual(powers)):
         bits = ((masks >> shifts) & np.uint64(1)).astype(np.uint8)
         tables.append(_xor_tables(np.packbits(bits, axis=1, bitorder="little").view(np.uint64)))
         # c_t for a chunk of blocks is its first c_t times (g^(e*length))^s

@@ -158,6 +158,20 @@ class TestCountPoints:
         want = json.loads(recorded.read_text())["counts"][:28]
         assert list(count_series(dk_curve(6), 28, threads=1).counts) == want
 
+    def test_general_denominator_matches_lpoly_prediction(self):
+        # N_1..N_4 of the genus-4 sample from the brute-force oracle fix its
+        # L-polynomial, whose power sums predict N_13..N_20: sizes the
+        # oracle cannot reach, counted by the table kernel.
+        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+        c = curve_from_json_dict(json.loads((samples / "general4.json").read_text()))
+        assert c.f.laurent_exponents() is None and genus(c) == 4
+        first = [oracles.naive_count_as2(c, m) for m in range(1, 5)]
+        assert first == [3, 9, 12, 25]
+        lp = lpoly_from_counts(2, 4, first)
+        assert lp.poly.coeffs == (1, 0, 2, 1, 4, 2, 8, 0, 16)
+        want = counts_from_lpoly(lp, 20).counts[12:]
+        assert [count_points(c, m) for m in range(13, 21)] == list(want)
+
     def test_gsum_relation(self):
         # N_m = 2^m + 1 + G_m for the family (two ramified places)
         for k in (1, 2, 3):

@@ -424,3 +424,74 @@ class TestCharSum:
         # |sum| <= 2^m always
         for m in range(1, 10):
             assert abs(char_sum(make_field(2, m), X3_PLUS_INV)) <= 2**m
+
+
+# Maps whose denominator is not a monomial, so char_sum takes the table kernel
+TABLE_MAPS = [
+    RationalMap(2, (1, 0, 1, 0, 0, 1, 1), (1, 1, 0, 1)),  # over x^3 + x + 1, irreducible
+    RationalMap(2, (1,), (0, 1, 1)),  # 1 / (x(x+1)): poles at 0 and 1
+    RationalMap(2, (1, 0, 1, 0, 0, 1), (1, 1, 0, 1, 1)),  # over (x+1)^2 (x^2+x+1)
+    RationalMap(2, (0, 1, 0, 1), (1, 1, 1)),  # x^3 + x: no constant term
+    RationalMap(2, (1, 1, 0, 0, 1, 0, 0, 0, 0, 1), (1, 1, 0, 0, 1)),  # deg 9 over deg 4
+]
+
+
+class TestTableKernel:
+    def test_maps_are_reduced_as_written(self):
+        assert [(f.num, f.den) for f in TABLE_MAPS] == [
+            ((1, 0, 1, 0, 0, 1, 1), (1, 1, 0, 1)),
+            ((1,), (0, 1, 1)),
+            ((1, 0, 1, 0, 0, 1), (1, 1, 0, 1, 1)),
+            ((0, 1, 0, 1), (1, 1, 1)),
+            ((1, 1, 0, 0, 1, 0, 0, 0, 0, 1), (1, 1, 0, 0, 1)),
+        ]
+        assert all(f.laurent_exponents() is None for f in TABLE_MAPS)
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_kernel_equals_naive_exhaustive(self, m, monkeypatch):
+        # Again with chunks of 97 indices, which divides neither n nor the
+        # table walk, so both end mid-chunk.
+        field = make_field(2, m)
+        want = [oracles.naive_char_sum(field, f) for f in TABLE_MAPS]
+        assert [char_sum(field, f) for f in TABLE_MAPS] == want
+        monkeypatch.setattr(finite_fields, "_TABLE_CHUNK", 97)
+        assert [char_sum(field, f) for f in TABLE_MAPS] == want
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 7), (2, 12), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("chunk", [97, 1 << 15])
+    def test_power_tables_exhaustive(self, p, m, chunk, monkeypatch):
+        monkeypatch.setattr(finite_fields, "_TABLE_CHUNK", chunk)
+        field = make_field(p, m)
+        exps, logs = field.power_tables()
+        assert (exps.dtype, logs.dtype) == (np.uint32, np.int32)
+        want = [field.pow_el(field.generator, i) for i in range(field.order - 1)]
+        assert exps.tolist() == want
+        assert logs[exps].tolist() == list(range(field.order - 1))
+        if p == 2:
+            exps2, logs2, trl = field.power_tables(traces=True)
+            assert (exps2 == exps).all() and (logs2 == logs).all()
+            assert trl.dtype == np.uint8
+            assert trl.tolist() == [field.trace(x) for x in want]
+
+    def test_power_tables_refused_above_2_30(self):
+        field = make_field(2, 31)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                field.power_tables()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**16  # refused before any table is allocated
+
+    def test_table_kernel_memory_is_bounded(self):
+        # exps, logs and trl take 9 bytes per element (9 MB here) plus one
+        # chunk; 16-byte tables and full-length index arrays took 74 MB.
+        field = make_field(2, 20)
+        tracemalloc.start()
+        try:
+            char_sum(field, TABLE_MAPS[0], threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
