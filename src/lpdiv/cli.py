@@ -206,7 +206,7 @@ def run(config: argparse.Namespace) -> int:
     if cmd == "check-div":
         lc = LPolynomial.from_json_dict(_load_json(config.lc))
         ld = LPolynomial.from_json_dict(_load_json(config.ld))
-        horizon = config.horizon or max(2 * (lc.g + ld.g), 1)
+        horizon = max(2 * (lc.g + ld.g), 1) if config.horizon is None else config.horizon
         report = check_main_theorem_lpolys(lc, ld, config.k, horizon)
         sys.stdout.write(emit_report(report, config.fmt))
         return EXIT_VIOLATION if report.verdict is Verdict.VIOLATION else EXIT_OK

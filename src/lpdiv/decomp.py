@@ -453,6 +453,8 @@ def gsum_invariance_scan(
     """Tabulate the sums for 1 <= k <= k_max, 1 <= m <= m_max and record
     every (k, m) whose value differs from the gcd(k, m) column.  A nonempty
     mismatch list is a reportable finding, not an error."""
+    if k_max < 1 or m_max < 1:
+        raise ValueError("scan bounds k and m must be >= 1")
     values: dict[tuple[int, int], int] = {}
     for m in range(1, m_max + 1):
         for k in range(1, k_max + 1):

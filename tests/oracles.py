@@ -240,3 +240,16 @@ def make_weil_lpoly(rng, q: int, g: int) -> LPolynomial:
         a = rng.randint(-amax, amax)
         poly = poly * IntPoly([1, -a, q])
     return LPolynomial(q=q, g=g, poly=poly)
+
+
+# -- recorded counts -----------------------------------------------------------
+
+# N_1..N_33 of D_6 : y^2 + y = x^65 + x^(-1) over GF(2^m), as recorded by
+# the first complete k = 6 count series (660 s with an earlier kernel).  They
+# pin the genus-33 algebra, and the current kernel, without recounting here.
+DK6_COUNTS = (
+    4, 8, 4, 16, 24, 56, 88, 256, 616, 1168, 2072, 4096, 8168, 16304, 34104,
+    65152, 131720, 266960, 522200, 1046816, 2089000, 4206320, 8388472,
+    16770496, 33543624, 67104656, 134183704, 268397152, 536960872,
+    1073886256, 2147472056, 4294690048, 8590189832,
+)

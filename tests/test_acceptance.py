@@ -1,9 +1,10 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Criterion 8 counts the
-k = 6 curve up to m = 33 (a few seconds on one thread);
-scripts/run_dk6.py runs the same job standalone with per-degree progress,
-and tests/test_decomp.py checks its algebra on the recorded counts.
+k = 6 curve up to m = 33 (a few seconds on one thread) and compares the
+report with dk6_result.json, the committed stdout of
+`python -m lpdiv verify-dk --k 6`; tests/test_decomp.py checks the same
+record from recorded counts, without counting.
 """
 
 import json
@@ -13,7 +14,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from lpdiv.cli import main as cli_main
+from lpdiv.cli import emit_report, main as cli_main
 from lpdiv.curves import count_points, count_series, curve_from_json_dict, dk_curve
 from lpdiv.decomp import (
     Verdict,
@@ -195,13 +196,11 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
 
 
 def test_criterion_8_stretch_dk6():
-    with criterion(8, "k = 6 divides with a two-prime split or explicit inconclusive"):
+    with criterion(8, "k = 6 divides with a two-prime split, as in dk6_result.json"):
         rep = verify_conjecture_dk(6)
-        assert rep.divides
-        assert rep.structure.kind in ("two_prime", "inconclusive")
-        if rep.structure.kind == "two_prime":
-            a, b = rep.structure.parts
-            assert a.inflate(2) * b.inflate(3) == rep.quotient
+        assert emit_report(rep, "json") == (SAMPLES.parent / "dk6_result.json").read_text()
+        a, b = rep.structure.parts
+        assert a.inflate(2) * b.inflate(3) == rep.quotient
         print("k=6 structure:", rep.structure)
 
 

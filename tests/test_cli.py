@@ -1,9 +1,14 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from lpdiv.cli import main
+
+import oracles
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 
@@ -155,6 +160,38 @@ class TestErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("bounds", [("0", "5"), ("3", "0"), ("-1", "3")])
+    def test_scan_gsum_empty_range_rejected(self, capsys, fmt, bounds):
+        k, m = bounds
+        code, out, err = run_cli(capsys, "scan-gsum", "--k", k, "--m", m, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == "error: scan bounds k and m must be >= 1\n"
+
+    def test_check_div_horizon_zero_rejected(self, capsys):
+        # 0 is refused like any other horizon below 1, not read as "default"
+        code, out, err = run_cli(
+            capsys,
+            "check-div",
+            "--lc", str(SAMPLES / "f3_lc.json"),
+            "--ld", str(SAMPLES / "f3_ld.json"),
+            "--k", "6", "--horizon", "0",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: horizon must be >= 1\n"
+
+
+class TestEntryPoint:
+    def test_python_m_lpdiv_runs_in_a_subprocess(self):
+        src = str(SAMPLES.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "lpdiv", "verify-dk", "--k", "3", "--format", "table", "--threads", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert "  quotient: 8t^6 - 4t^3 + 1\n" in proc.stdout
+
 
 class TestVerifyDkNote:
     def test_k6_writes_nothing_to_stderr(self, capsys, monkeypatch):
@@ -162,12 +199,11 @@ class TestVerifyDkNote:
         import lpdiv.cli as cli_mod
         from lpdiv.decomp import dk_report_from_counts
 
-        recorded = json.loads((SAMPLES.parent / "dk6_result.json").read_text())
-        report = dk_report_from_counts(6, recorded["counts"])
+        report = dk_report_from_counts(6, oracles.DK6_COUNTS)
         monkeypatch.setattr(cli_mod, "verify_conjecture_dk", lambda *args, **kwargs: report)
         code, out, err = run_cli(capsys, "verify-dk", "--k", "6")
         assert (code, err) == (0, "")
-        assert json.loads(out)["quotient"] == recorded["quotient"]
+        assert out == (SAMPLES.parent / "dk6_result.json").read_text()
 
     def test_k7_refused_before_counting(self, capsys, monkeypatch):
         from lpdiv import curves

@@ -5,7 +5,8 @@ from math import gcd
 
 import pytest
 
-from lpdiv.curves import dk_curve, gsum
+from lpdiv.cli import emit_report
+from lpdiv.curves import curve_from_json_dict, dk_curve, gsum
 from lpdiv.decomp import (
     F3_LC,
     F3_LD,
@@ -21,12 +22,14 @@ from lpdiv.decomp import (
     split_two_prime,
     verify_conjecture_dk,
 )
-from lpdiv.intpoly import IntPoly, format_poly
+from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import LPolynomial, counts_from_lpoly, lpoly_from_counts
 
 import oracles
 
-DK6_RESULT = pathlib.Path(__file__).resolve().parent.parent / "dk6_result.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SAMPLES = ROOT / "sample_inputs"
+DK6_RESULT = ROOT / "dk6_result.json"
 L_D1 = LPolynomial(q=2, g=2, poly=IntPoly([1, 1, 0, 2, 4]))
 L_X3 = LPolynomial(q=2, g=1, poly=IntPoly([1, 0, 2]))
 
@@ -49,6 +52,20 @@ class TestCheckMainTheorem:
         assert rep.verdict is Verdict.HYPOTHESIS_FAILS
         assert rep.hyp1_first_fail == 2
         assert not rep.divides
+
+    def test_f3_pair_from_the_verified_curves(self):
+        # The same verdict from counting the two sample curves, whose
+        # L-polynomials come out as the published pair.
+        lc_curve, ld_curve = (
+            curve_from_json_dict(json.loads((SAMPLES / f"f3_{name}_curve.json").read_text()))
+            for name in ("lc", "ld")
+        )
+        rep = check_main_theorem(lc_curve, ld_curve, 6, 7)
+        assert rep.verdict is Verdict.HYPOTHESIS_FAILS
+        assert rep.hyp1_first_fail == 2
+        assert not rep.divides
+        assert rep.lc == LPolynomial.from_json_dict(json.loads((SAMPLES / "f3_lc.json").read_text()))
+        assert rep.ld == LPolynomial.from_json_dict(json.loads((SAMPLES / "f3_ld.json").read_text()))
 
     def test_hyp1_table_skips_multiples_of_k(self):
         rep = check_main_theorem_lpolys(L_D1, L_D1, 3, 9)
@@ -159,20 +176,12 @@ class TestVerifyConjectureDk:
         assert rep.divides
 
     def test_report_from_recorded_dk6_counts(self):
-        # The genus-33 algebra on the recorded k = 6 counts, without counting.
-        record = json.loads(DK6_RESULT.read_text())
-        rep = dk_report_from_counts(6, record["counts"])
-        assert rep.genus == record["genus"] == 33
-        assert format_poly(rep.lpoly.poly, spaced=False) == record["lpoly"]
-        assert rep.divides
-        assert format_poly(rep.quotient, spaced=False) == record["quotient"]
-        assert rep.structure.kind == "two_prime"
-        assert rep.structure.primes == (2, 3)
+        # The genus-33 algebra on the recorded k = 6 counts, without counting,
+        # reproduces the committed verify-dk record byte for byte.
+        rep = dk_report_from_counts(6, oracles.DK6_COUNTS)
+        assert emit_report(rep, "json") == DK6_RESULT.read_text()
         a, b = rep.structure.parts
-        assert format_poly(a, spaced=False) == record["split_a_t2"]
-        assert format_poly(b, spaced=False) == record["split_b_t3"] == "8t^2-4t+1"
         assert a.inflate(2) * b.inflate(3) == rep.quotient
-        assert rep.lpoly_two_rank == record["two_rank"]
 
 
 class TestSplitTwoPrime:
