@@ -177,6 +177,8 @@ def run(config: argparse.Namespace) -> int:
     if cmd == "lpoly":
         curve = curve_from_json_dict(_load_json(config.curve))
         g = genus(curve)
+        if config.horizon is not None and config.horizon < 1:
+            raise ValueError("horizon must be >= 1")
         horizon = max(config.horizon or 0, g, 1)
         counts = count_series(curve, horizon, threads=config.threads, max_m=config.max_m).counts
         lp = lpoly_from_counts(base_field_size(curve), g, counts)

@@ -362,6 +362,8 @@ def verify_conjecture_dk(
     divide by the k = 1 member, and analyze the quotient structure."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
     need = max(horizon or 0, (1 << (k - 1)) + 1)
     counts = count_series(dk_curve(k), need, threads=threads, max_m=max_m).counts
     return dk_report_from_counts(k, counts)

@@ -176,10 +176,13 @@ def _xor_tables(rows: np.ndarray) -> np.ndarray:
 
 def _xor_gather(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The map of ``_xor_tables`` applied to every code: the XOR over b of
-    tables[b][byte b of the code]."""
-    out = tables[0][codes & np.uint64(0xFF)]
+    tables[b][byte b of the code].  The bytes are read through a uint8 view
+    of the codes in little-endian order, whatever the host's."""
+    codes_le = np.ascontiguousarray(codes, dtype="<u8")
+    code_bytes = codes_le.view(np.uint8).reshape(codes_le.shape + (8,))
+    out = np.take(tables[0], code_bytes[..., 0], axis=0)
     for b in range(1, len(tables)):
-        out ^= tables[b][(codes >> np.uint64(8 * b)) & np.uint64(0xFF)]
+        out ^= np.take(tables[b], code_bytes[..., b], axis=0)
     return out
 
 
@@ -231,17 +234,7 @@ class FiniteField:
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
-            r = 0
-            mod_int = self._mod_int
-            top = self._top_bit
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod_int
-            return r
+            return gfpoly.mulmod2(a, b, self._mod_int)
         p = self.p
         prod = gfpoly.mul(gfpoly.decode(a, p), gfpoly.decode(b, p), p)
         return gfpoly.encode(gfpoly.mod(prod, self.modulus, p), p)
@@ -295,26 +288,27 @@ class FiniteField:
         raise AssertionError("no generator found; modulus not irreducible?")
 
     def _build_dual_masks(self) -> tuple[int, ...]:
-        # Bit j of mask i is Tr(x^(i+j)).  Tr(x^j) for j < m comes from the
-        # definition; beyond that Tr is GF(2)-linear, so Tr(x^k) is the
-        # parity of x^k & mask 0.
+        # Bit j of mask i is Tr(t^(i+j)).  The traces s_k = Tr(t^k) are the
+        # power sums of the roots of the modulus t^m + a_(m-1) t^(m-1) + ...
+        # + a_0, so over GF(2) Newton's identities give them from its
+        # coefficients: s_0 = m mod 2, s_k = k*a_(m-k) + sum over 0 < i < k
+        # of a_(m-i) s_(k-i) for k <= m, and s_k = sum over 0 < i <= m of
+        # a_(m-i) s_(k-i) beyond (t^k = sum of a_(m-i) t^(k-i) there).
+        # ``coeffs`` holds a_(m-i) at bit i - 1 and ``window`` s_(k-i) at bit
+        # i - 1 for 0 < i < k, never s_0, which enters only through k*a_(m-k).
+        # Bit k of ``traces`` is s_k, k < 2m - 1: O(m^2) bit operations.
         m = self.m
-        traces = []
-        for j in range(m):
-            acc = 0
-            y = 1 << j
-            for _ in range(m):
-                acc ^= y
-                y = self.mul(y, y)
-            traces.append(acc)
-        mask0 = sum(t << j for j, t in enumerate(traces))
-        x = 1 << (m - 1)
-        for _ in range(m - 1):
-            x <<= 1
-            if x & self._top_bit:
-                x ^= self._mod_int
-            traces.append((x & mask0).bit_count() & 1)
-        return tuple(sum(traces[i + j] << j for j in range(m)) for i in range(m))
+        low = self._mod_int ^ self._top_bit
+        coeffs = int(format(low, f"0{m}b")[::-1], 2)
+        traces = m & 1
+        window = 0
+        for k in range(1, 2 * m - 1):
+            s = (window & coeffs).bit_count() & 1
+            if k <= m:
+                s ^= k & low >> (m - k) & 1
+            window = (window << 1 | s) & (self._top_bit - 1)
+            traces |= s << k
+        return tuple(traces >> i & (self._top_bit - 1) for i in range(m))
 
     def trace_dual(self, c: int) -> int:
         """The mask M(c) with Tr(c*y) = parity(y & M(c)) for every y."""

@@ -180,6 +180,24 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: horizon must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lpoly", "--curve", str(SAMPLES / "d1.json"), "--horizon", "0"),
+            ("lpoly", "--curve", str(SAMPLES / "d1.json"), "--horizon", "-5"),
+            ("verify-dk", "--k", "2", "--horizon", "0"),
+            ("verify-dk", "--k", "2", "--horizon", "-5"),
+            ("check-div", "--lc", str(SAMPLES / "f3_lc.json"), "--ld", str(SAMPLES / "f3_ld.json"),
+             "--k", "6", "--horizon", "-5"),
+        ],
+        ids=["lpoly-0", "lpoly-neg", "verify-dk-0", "verify-dk-neg", "check-div-neg"],
+    )
+    def test_horizon_below_one_rejected(self, capsys, argv):
+        # not read as "count to the genus" or "use the default"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: horizon must be >= 1\n"
+
 
 class TestEntryPoint:
     def test_python_m_lpdiv_runs_in_a_subprocess(self):

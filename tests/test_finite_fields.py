@@ -55,7 +55,24 @@ class TestMakeField:
     def test_default_modulus_matches_bruteforce(self, p, m):
         assert make_field(p, m).modulus == oracles.first_irreducible(p, m)
 
-    @pytest.mark.parametrize("p,max_deg", [(2, 10), (3, 6), (5, 4)])
+    # non-leading part of the default modulus (encoded) and the generator,
+    # pinned where the brute-force oracle is too slow to rebuild them
+    DEFAULT_MODULI_2 = {
+        17: 9, 18: 9, 19: 39, 20: 9, 21: 5, 22: 3, 23: 33, 24: 27, 25: 9,
+        26: 27, 27: 39, 28: 3, 29: 5, 30: 3, 31: 9, 32: 141, 33: 75, 34: 27,
+    }
+    GENERATORS_2 = {
+        17: 2, 18: 10, 19: 2, 20: 2, 21: 2, 22: 2, 23: 2, 24: 2, 25: 2,
+        26: 3, 27: 2, 28: 7, 29: 2, 30: 19, 31: 2, 32: 3, 33: 3, 34: 3,
+    }
+
+    @pytest.mark.parametrize("m", range(17, 35))
+    def test_default_modulus_and_generator_pinned(self, m):
+        f = make_field(2, m)
+        assert f.modulus == gfpoly.decode(self.DEFAULT_MODULI_2[m] | 1 << m, 2)
+        assert f.generator == self.GENERATORS_2[m]
+
+    @pytest.mark.parametrize("p,max_deg", [(2, 12), (3, 6), (5, 4)])
     def test_is_irreducible_matches_trial_division(self, p, max_deg):
         for deg in range(max_deg + 1):
             for f in gfpoly.monic_polys(deg, p):
@@ -68,6 +85,10 @@ class TestMakeField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(ModulusReducible):
             make_field(2, 3, [1, 0, 0, 1])  # x^3 + 1 = (x+1)(x^2+x+1)
+        # no root in GF(2), so the root test passes it and Rabin's test must not
+        product = gfpoly.mul(make_field(2, 11).modulus, make_field(2, 13).modulus, 2)
+        with pytest.raises(ModulusReducible):
+            make_field(2, 24, product)
 
     def test_supplied_modulus_accepted(self):
         f = make_field(2, 3, [1, 1, 0, 1])
@@ -196,6 +217,16 @@ class TestTrace:
         f = make_field(2, m)
         for x in f.elements():
             assert f.trace(x) == oracles.trace_by_definition(f, x)
+
+    @pytest.mark.parametrize("m", range(13, 35))
+    def test_masks_equal_definition_sampled(self, m):
+        f = make_field(2, m)
+        rng = random.Random(m)
+        for _ in range(200):
+            c, y = rng.randrange(f.order), rng.randrange(f.order)
+            assert f.trace(y) == oracles.trace_by_definition(f, y)
+            tr = oracles.trace_by_definition(f, f.mul(c, y))
+            assert tr == (y & f.trace_dual(c)).bit_count() & 1
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_trace_dual_mask_exhaustive(self, m):
