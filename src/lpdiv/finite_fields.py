@@ -35,16 +35,16 @@ realizations:
   it saves); partial sums are exact ints, so the result does not depend
   on the partitioning;
 * a table kernel, for denominators that are not monomials, at
-  m <= ``TABLE_MAX_M``: compact tables in the log domain, exps[i] = g^i
-  (uint32), logs its inverse (int32) and trl[i] = Tr(g^i) (uint8), 9 bytes
-  per element, filled by one chunked walk of g (``power_tables``).  The
-  group is then walked in chunks of ``_TABLE_CHUNK`` indices: at x = g^i
-  each term x^e is exps[e*i mod n], where e*j mod n for j in the chunk is
-  fixed and a chunk only adds e*lo mod n and subtracts n where the sum
-  reaches n; N(x) and D(x) are XORs of such terms, and Tr(N/D) is
-  trl[logs[N] - logs[D] mod n].  The tables are built per call and not kept
-  on the (cached, shared) field.  Beyond that bound such maps raise
-  ``TooLarge``.
+  m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
+  M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
+  g and one pass over exps (``power_tables``).  The group is then walked in
+  chunks of ``_TABLE_CHUNK`` indices: at x = g^i each term x^e is
+  exps[e*i mod n], an arithmetic progression of indices over a chunk, read
+  as strided slices of exps between wrap-arounds (``_xor_progression``);
+  N(x) and D(x) are XORs of such terms, and Tr(N/D) is
+  parity(N & duals[D]), one gather per element.  The tables are built per
+  call and not kept on the (cached, shared) field.  Beyond that bound such
+  maps raise ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -176,10 +176,11 @@ def _xor_tables(rows: np.ndarray) -> np.ndarray:
 
 def _xor_gather(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The map of ``_xor_tables`` applied to every code: the XOR over b of
-    tables[b][byte b of the code].  The bytes are read through a uint8 view
-    of the codes in little-endian order, whatever the host's."""
-    codes_le = np.ascontiguousarray(codes, dtype="<u8")
-    code_bytes = codes_le.view(np.uint8).reshape(codes_le.shape + (8,))
+    tables[b][byte b of the code], in the tables' dtype.  The bytes are read
+    through a uint8 view of the codes in little-endian order, whatever the
+    host's, at the codes' own width (uint32 codes take half the traffic)."""
+    codes_le = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<"))
+    code_bytes = codes_le.view(np.uint8).reshape(codes_le.shape + (codes_le.itemsize,))
     out = np.take(tables[0], code_bytes[..., 0], axis=0)
     for b in range(1, len(tables)):
         out ^= np.take(tables[b], code_bytes[..., b], axis=0)
@@ -334,6 +335,8 @@ class FiniteField:
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
         if c == 0:
             return np.zeros_like(block)
+        if c == 1:
+            return block.copy()
         if self.p != 2:
             rows = self.mul_matrices(self.bulk_decode(np.array([c])))[0]
             out = np.empty_like(block)
@@ -357,33 +360,44 @@ class FiniteField:
         the m dual masks."""
         return _xor_gather(_xor_tables(np.array(self._dual_masks, dtype=np.uint64)), block)
 
-    def power_tables(self, *, traces: bool = False) -> tuple[np.ndarray, ...]:
+    def power_tables(self, *, duals: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """(exps, logs): exps[i] = g^i for i < order - 1 (uint32 codes) and
-        logs its inverse permutation (int32; logs[0] is unused), 8 bytes per
-        element.  With ``traces`` (p = 2) also trl, trl[i] = Tr(g^i) as
-        uint8, one byte more.  One walk of g fills them chunk by chunk: a
-        geometric block of ``_TABLE_CHUNK`` powers, times g^lo per chunk.
-        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so a sum of
-        two indices stays exact in int32.  Built on every call and not
-        kept, so the caller owns and drops them."""
+        logs its inverse permutation (int32; logs[0] is unused).  With
+        ``duals`` (p = 2), (exps, duals) instead: duals[y] = M(1/y) (uint32,
+        duals[0] = 0), so Tr(x/y) = parity(x & duals[y]).  Either way 8
+        bytes per element.  One walk of g fills them chunk by chunk (a
+        geometric block of ``_TABLE_CHUNK`` powers, times g^lo per chunk);
+        duals take one more pass over exps.
+        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so codes
+        fit uint32 and indices int32.  Built on every call and not kept,
+        so the caller owns and drops them."""
         if self.order > POWER_TABLE_MAX:
             raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
+        if duals and self.p != 2:
+            raise ValueError("trace-dual tables are implemented for p = 2 only")
         n = self.order - 1
         chunk = min(_TABLE_CHUNK, n)
         block = self.geometric_block(self.generator, chunk)
         jump = self.pow_el(self.generator, chunk)
         exps = np.empty(n, dtype=np.uint32)
-        logs = np.zeros(self.order, dtype=np.int32)
-        trl = np.empty(n, dtype=np.uint8) if traces else None
+        logs = None if duals else np.zeros(self.order, dtype=np.int32)
         c = 1
         for lo in range(0, n, chunk):
             vals = self._const_mul_block(c, block[: n - lo])  # g^i for lo <= i < lo + chunk
             exps[lo : lo + chunk] = vals
-            logs[vals] = np.arange(lo, lo + len(vals), dtype=np.int32)
-            if traces:
-                trl[lo : lo + chunk] = self.bulk_trace_bits(vals)
+            if logs is not None:
+                logs[vals] = np.arange(lo, lo + len(vals), dtype=np.int32)
             c = self.mul(c, jump)
-        return (exps, logs, trl) if traces else (exps, logs)
+        if logs is not None:
+            return exps, logs
+        # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1
+        masks = _xor_tables(np.array(self._dual_masks, dtype=np.uint64)).astype(np.uint32)
+        dual_table = np.zeros(self.order, dtype=np.uint32)
+        dual_table[1] = self.trace_dual(1)
+        for lo in range(1, n, chunk):
+            hi = min(lo + chunk, n)
+            dual_table[exps[lo:hi]] = _xor_gather(masks, exps[n - lo : n - hi : -1])
+        return exps, dual_table
 
     def bulk_decode(self, codes: np.ndarray) -> np.ndarray:
         """Base-p digits of each code (``gfpoly.decode`` padded to m), one
@@ -395,10 +409,6 @@ class FiniteField:
         """Codes of digit rows with entries in [0, p): the inverse of
         ``bulk_decode``."""
         return digits @ (self.p ** np.arange(self.m, dtype=np.int64))
-
-    def bulk_trace_bits(self, block: np.ndarray) -> np.ndarray:
-        """Tr of every code in a uint64 array, as uint8."""
-        return np.bitwise_count(block & np.uint64(self._trace_mask)) & np.uint8(1)
 
     def geometric_block(self, ratio: int, length: int) -> np.ndarray:
         """[ratio^0, ratio^1, ..., ratio^(length-1)]: the first 16 by scalar
@@ -501,8 +511,9 @@ def char_sum(
         return _char_sum_stream(field, f, exponents, resolve_threads(threads))
     if field.m > table_max_m:
         raise TooLarge(
-            f"m = {field.m} exceeds the power-table bound {table_max_m} and the "
-            "denominator is not a monomial; raise table_max_m to proceed"
+            f"m = {field.m} exceeds the bound m <= {table_max_m} for maps whose "
+            "denominator is not a monomial (table_max_m is an argument of the "
+            "library's char_sum, not a command-line option)"
         )
     return _char_sum_table(field, f)
 
@@ -515,26 +526,33 @@ def _zero_point_term(field: FiniteField, f: RationalMap) -> int:
     return 1 - 2 * tr0
 
 
+def _xor_progression(out: np.ndarray, table: np.ndarray, start: int, step: int) -> None:
+    """out[j] ^= table[(start + step*j) mod n] for j < len(out), n =
+    len(table), 0 <= start, step < n: strided slices of the table between
+    wrap-arounds, so no index array is built."""
+    if step == 0:
+        out ^= table[start]
+        return
+    j = 0
+    while j < len(out):
+        run = table[start::step][: len(out) - j]
+        out[j : j + len(run)] ^= run
+        j += len(run)
+        start += len(run) * step - len(table)
+
+
 def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     n = field.order - 1
-    exps, logs, trl = field.power_tables(traces=True)
+    exps, duals = field.power_tables(duals=True)
     chunk = min(_TABLE_CHUNK, n)
-    j = np.arange(chunk, dtype=np.int64)
-    num_terms = [e for e, c in enumerate(f.num) if c]
-    den_terms = [e for e, c in enumerate(f.den) if c]
-    # x = g^(lo + j) gives x^e = exps[s] with s = steps[e][j] + (e*lo mod n)
-    # less n where s >= n: in uint32, min(s, s - n), as s - n wraps if s < n
-    steps = {e: (e * j % n).astype(np.uint32) for e in {*num_terms, *den_terms} if e}
-    n32 = np.uint32(n)
+    num_terms = [e % n for e, c in enumerate(f.num) if c]
+    den_terms = [e % n for e, c in enumerate(f.den) if c]
 
     def eval_terms(terms, lo, k):
+        # x = g^(lo + j) gives x^e = exps[(e*lo + e*j) mod n]
         vals = np.zeros(k, dtype=np.uint32)
         for e in terms:
-            if e == 0:
-                vals ^= np.uint32(1)
-            else:
-                idx = steps[e][:k] + np.uint32(e * lo % n)
-                vals ^= np.take(exps, np.minimum(idx, idx - n32))
+            _xor_progression(vals, exps, e * lo % n, e)
         return vals
 
     total = _zero_point_term(field, f)
@@ -542,12 +560,10 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
         k = min(chunk, n - lo)
         num_vals = eval_terms(num_terms, lo, k)
         den_vals = eval_terms(den_terms, lo, k)
-        defined = den_vals != 0
-        # Tr(N/D) = trl[log N - log D mod n]; points with N = 0 or D = 0
-        # read some entry of trl and are masked out
-        d = (np.take(logs, num_vals) - np.take(logs, den_vals)).view(np.uint32) + n32
-        tr = np.take(trl, np.minimum(d, d - n32)).view(bool) & defined & (num_vals != 0)
-        total += int(np.count_nonzero(defined)) - 2 * int(np.count_nonzero(tr))
+        # Tr(N/D) = parity(N & M(1/D)); N = 0 gives 0, and so does D = 0
+        # through duals[0] = 0, where count_nonzero(D) leaves the pole out
+        odd = np.bitwise_count(num_vals & np.take(duals, den_vals)) & np.uint8(1)
+        total += int(np.count_nonzero(den_vals)) - 2 * int(np.count_nonzero(odd))
     return total
 
 
@@ -569,15 +585,18 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
     shifts = np.arange(field.m, dtype=np.uint64)[:, None]
     # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], and
     # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): the rows are the bits of M(T_e[j])
-    powers = np.stack([field.geometric_block(field.pow_el(g, e % n), length) for e in exponents])
+    bases = [field.pow_el(g, e % n) for e in exponents]
+    powers = np.stack([field.geometric_block(b, length) for b in bases])
     tables, steps, jumps, firsts = [], [], [], []
-    for e, masks in zip(exponents, field.bulk_trace_dual(powers)):
+    for base, row, masks in zip(bases, powers, field.bulk_trace_dual(powers)):
         bits = ((masks >> shifts) & np.uint64(1)).astype(np.uint8)
         tables.append(_xor_tables(np.packbits(bits, axis=1, bitorder="little").view(np.uint64)))
-        # c_t for a chunk of blocks is its first c_t times (g^(e*length))^s
-        steps.append(field.geometric_block(field.pow_el(g, e * length % n), per_chunk))
-        jumps.append(field.pow_el(g, e * length * per_chunk % n))
-        firsts.append(field.pow_el(g, e * lo % n))
+        # c_t for a chunk of blocks is its first c_t times (g^(e*length))^s,
+        # and the last power of each block times g^e is the next power
+        ratio = field.mul(int(row[-1]), base)  # g^(e*length)
+        steps.append(field.geometric_block(ratio, per_chunk))
+        jumps.append(field.mul(int(steps[-1][-1]), ratio))  # g^(e*length*per_chunk)
+        firsts.append(field.pow_el(base, lo))  # 1 when lo = 0
     ones = 0
     for t0 in range(0, blocks, per_chunk):
         cnt = min(per_chunk, blocks - t0)

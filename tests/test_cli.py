@@ -144,6 +144,19 @@ class TestErrors:
         assert code == 1
         assert "bound" in err
 
+    def test_general_denominator_beyond_table_bound(self, capsys):
+        # the bound is a library argument; the message must not point CLI
+        # users at an option they do not have
+        code, out, err = run_cli(
+            capsys, "count", "--curve", str(SAMPLES / "general4.json"), "--m", "23"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: m = 23 exceeds the bound m <= 22 for maps whose denominator is not a "
+            "monomial (table_max_m is an argument of the library's char_sum, not a "
+            "command-line option)\n"
+        )
+
     def test_invalid_curve_model(self, capsys, tmp_path):
         bad = tmp_path / "curve.json"
         bad.write_text(json.dumps({"model": "as2", "f_num": [1], "f_den": [0, 0, 1]}))

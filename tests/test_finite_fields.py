@@ -499,10 +499,38 @@ class TestTableKernel:
         assert exps.tolist() == want
         assert logs[exps].tolist() == list(range(field.order - 1))
         if p == 2:
-            exps2, logs2, trl = field.power_tables(traces=True)
-            assert (exps2 == exps).all() and (logs2 == logs).all()
-            assert trl.dtype == np.uint8
-            assert trl.tolist() == [field.trace(x) for x in want]
+            exps2, duals = field.power_tables(duals=True)
+            assert (exps2 == exps).all()
+            assert duals.dtype == np.uint32 and duals[0] == 0
+            invs = [0] + [field.inv(y) for y in range(1, field.order)]
+            assert duals[1:].tolist() == [field.trace_dual(v) for v in invs[1:]]
+            if m <= 7:  # Tr(x/y) = parity(x & duals[y]) for every x and y
+                for y in range(1, field.order):
+                    got = [(x & int(duals[y])).bit_count() & 1 for x in field.elements()]
+                    assert got == [field.trace(field.mul(x, invs[y])) for x in field.elements()]
+        else:
+            with pytest.raises(ValueError):
+                field.power_tables(duals=True)
+
+    @pytest.mark.parametrize(
+        "n,k,start,step",
+        [
+            (13, 40, 5, 3),  # k > n: several wraps
+            (13, 7, 12, 1),  # start = n - 1
+            (100, 5, 7, 31),  # step > k
+            (13, 20, 0, 12),  # step = n - 1
+            (12, 30, 4, 9),  # step shares the factor 3 with n
+            (12, 30, 11, 6),  # step divides n
+            (1, 4, 0, 0),  # n = 1
+            (10, 6, 3, 0),  # step 0, as for x^0
+        ],
+    )
+    def test_xor_progression_matches_take(self, n, k, start, step):
+        table = np.random.default_rng(n * k + step).integers(0, 2**32, n, dtype=np.uint32)
+        base = np.arange(k, dtype=np.uint32) * np.uint32(0x9E3779B1)
+        out = base.copy()
+        finite_fields._xor_progression(out, table, start, step)
+        assert out.tolist() == (base ^ np.take(table, (start + step * np.arange(k)) % n)).tolist()
 
     def test_power_tables_refused_above_2_30(self):
         field = make_field(2, 31)
@@ -516,7 +544,7 @@ class TestTableKernel:
         assert peak <= 2**16  # refused before any table is allocated
 
     def test_table_kernel_memory_is_bounded(self):
-        # exps, logs and trl take 9 bytes per element (9 MB here) plus one
+        # exps and duals take 8 bytes per element (8 MB here) plus one
         # chunk; 16-byte tables and full-length index arrays took 74 MB.
         field = make_field(2, 20)
         tracemalloc.start()
@@ -525,4 +553,4 @@ class TestTableKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= 12 * 2**20
