@@ -3,15 +3,12 @@ counting, plus executable verifiers for the divisibility relations their
 Jacobian decompositions imply."""
 
 from .finite_fields import (
-    POLE,
     FiniteField,
     ModulusReducible,
     NoPrime,
-    Pole,
     RationalMap,
     TooLarge,
     char_sum,
-    eval_rational_map,
     make_field,
 )
 from .intpoly import (
@@ -41,6 +38,7 @@ from .zeta import (
     LPolynomial,
     NotConsistent,
     counts_from_lpoly,
+    curve_lpoly,
     extension_lpoly,
     lpoly_from_counts,
     p_rank_manin,
@@ -51,7 +49,6 @@ from .decomp import (
     GsumTable,
     Verdict,
     check_main_theorem,
-    check_main_theorem_lpolys,
     converse_counts_check,
     counterexample_f3,
     dk_report_from_counts,

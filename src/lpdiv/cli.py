@@ -11,21 +11,21 @@ import argparse
 import json
 import sys
 
-from .curves import base_field_size, count_points, count_series, curve_from_json_dict, genus, gsum
+from .curves import base_field_size, count_points, curve_from_json_dict, genus, gsum
 from .decomp import (
     CounterexampleReport,
     DivisibilityReport,
     DkReport,
     GsumTable,
     Verdict,
-    check_main_theorem_lpolys,
+    check_main_theorem,
     counterexample_f3,
     gsum_invariance_scan,
     verify_conjecture_dk,
 )
 from .finite_fields import DEFAULT_MAX_M
 from .intpoly import format_poly
-from .zeta import LPolynomial, lpoly_from_counts
+from .zeta import LPolynomial, curve_lpoly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -51,8 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         if curve:
             p.add_argument("--curve", required=True, help="curve JSON file")
         if lpair:
-            p.add_argument("--lc", required=True, help="L-polynomial JSON file (divisor side)")
-            p.add_argument("--ld", required=True, help="L-polynomial JSON file (dividend side)")
+            p.add_argument("--lc", required=True, help="curve or L-polynomial JSON file (divisor side)")
+            p.add_argument("--ld", required=True, help="curve or L-polynomial JSON file (dividend side)")
         if k:
             p.add_argument("--k", type=int, required=True)
         if m:
@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("lpoly", "L-polynomial of a curve from exhaustive counts", curve=True, horizon=True)
     add("gsum", "exponential sum of x^(2^k+1)+x^(-1) over GF(2^m)*", k=True, m=True)
     add("verify-dk", "divisibility and quotient structure for the k-th family member", k=True, horizon=True)
-    add("check-div", "divisibility criterion on two L-polynomial files", lpair=True, k=True, horizon=True)
+    add("check-div", "divisibility criterion on two curve or L-polynomial files", lpair=True, k=True, horizon=True)
     add("scan-gsum", "gcd-dependence scan of the exponential sums (k, m up to bounds)", k=True, m=True)
     add("counterexample", "verify the fixed F_3 counterexample pair")
     return parser
@@ -78,11 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"{path} does not hold a JSON object")
+    return obj
+
+
+def _load_side(path: str):
+    """One check-div input: an object with a "model" key is a curve,
+    anything else an L-polynomial."""
+    obj = _load_json(path)
+    return curve_from_json_dict(obj) if "model" in obj else LPolynomial.from_json_dict(obj)
 
 
 def emit_report(report, fmt: str = "json") -> str:
@@ -176,12 +186,7 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
     if cmd == "lpoly":
         curve = curve_from_json_dict(_load_json(config.curve))
-        g = genus(curve)
-        if config.horizon is not None and config.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        horizon = max(config.horizon or 0, g, 1)
-        counts = count_series(curve, horizon, threads=config.threads, max_m=config.max_m).counts
-        lp = lpoly_from_counts(base_field_size(curve), g, counts)
+        lp = curve_lpoly(curve, config.horizon, threads=config.threads, max_m=config.max_m)
         if config.fmt == "json":
             payload = {"schema": 1, "type": "lpolynomial", **lp.to_json_dict(),
                        "poly": format_poly(lp.poly, spaced=False)}
@@ -206,10 +211,15 @@ def run(config: argparse.Namespace) -> int:
         sys.stdout.write(emit_report(report, config.fmt))
         return EXIT_OK
     if cmd == "check-div":
-        lc = LPolynomial.from_json_dict(_load_json(config.lc))
-        ld = LPolynomial.from_json_dict(_load_json(config.ld))
-        horizon = max(2 * (lc.g + ld.g), 1) if config.horizon is None else config.horizon
-        report = check_main_theorem_lpolys(lc, ld, config.k, horizon)
+        sides = [_load_side(config.lc), _load_side(config.ld)]
+        genera = [side.g if isinstance(side, LPolynomial) else genus(side) for side in sides]
+        horizon = max(2 * sum(genera), 1) if config.horizon is None else config.horizon
+        lc, ld = (
+            side if isinstance(side, LPolynomial)
+            else curve_lpoly(side, horizon, threads=config.threads, max_m=config.max_m)
+            for side in sides
+        )
+        report = check_main_theorem(lc, ld, config.k, horizon)
         sys.stdout.write(emit_report(report, config.fmt))
         return EXIT_VIOLATION if report.verdict is Verdict.VIOLATION else EXIT_OK
     if cmd == "scan-gsum":
@@ -226,7 +236,7 @@ def run(config: argparse.Namespace) -> int:
 def main(argv=None) -> int:
     try:
         return run(build_parser().parse_args(argv))
-    except (UsageError, ValueError, KeyError, TypeError) as exc:
+    except (UsageError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -101,12 +101,22 @@ class OddHyperellipticCurve:
 CurveModel = ArtinSchreierCurve | OddHyperellipticCurve
 
 
+def json_int(value, key: str) -> int:
+    """A JSON integer; floats and booleans raise ValueError instead of being
+    read as some other integer."""
+    if type(value) is not int:
+        raise ValueError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
 def curve_from_json_dict(obj: dict) -> CurveModel:
     model = obj.get("model")
     if model == "as2":
-        return ArtinSchreierCurve(RationalMap(2, tuple(obj["f_num"]), tuple(obj["f_den"])))
+        num, den = (tuple(json_int(c, key) for c in obj[key]) for key in ("f_num", "f_den"))
+        return ArtinSchreierCurve(RationalMap(2, num, den))
     if model == "hyper_odd":
-        return OddHyperellipticCurve(int(obj["p"]), tuple(obj["h"]), tuple(obj["f"]))
+        h, f = (tuple(json_int(c, key) for c in obj[key]) for key in ("h", "f"))
+        return OddHyperellipticCurve(json_int(obj["p"], "p"), h, f)
     raise ValueError(f"unknown curve model {model!r}")
 
 

@@ -12,9 +12,13 @@ support, and also check the underlying polynomial identity
     L_C(t)^k * L_D^(k)(t^k) == L_D(t)^k * L_C^(k)(t^k)
 
 and its converse (equal counts away from multiples of k whenever L_D =
-q(t^k) L_C).  A verdict of "TheoremApplies&ViolationFound" is impossible
-for genuine curve data; it indicates an implementation bug, and the test
-suite treats it as one.
+q(t^k) L_C).  ``check_main_theorem`` takes two L-polynomials and reads
+hypothesis 1 from the counts they imply.  A curve enters through
+``zeta.curve_lpoly``, which cross-checks every count up to the horizon
+against the polynomial, so the implied counts are the curve's own.  A
+verdict of "TheoremApplies&ViolationFound" is impossible for genuine curve
+data; it indicates an implementation bug, and the test suite treats it as
+one.
 
 Conjecture harnesses cover the curve family y^2 + y = x^(2^k+1) + x^(-1)
 over GF(2): divisibility of L-polynomials by the k=1 member, structured
@@ -29,14 +33,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd as int_gcd
 
-from .curves import (
-    CurveModel,
-    base_field_size,
-    count_series,
-    dk_curve,
-    genus,
-    gsum,
-)
+from .curves import count_series, dk_curve, gsum
 from .finite_fields import DEFAULT_MAX_M
 from .gfpoly import factor_int
 from .intpoly import (
@@ -50,6 +47,7 @@ from .intpoly import (
 from .zeta import (
     LPolynomial,
     counts_from_lpoly,
+    curve_lpoly,
     extension_lpoly,
     lpoly_from_counts,
     mod_p_degree,
@@ -110,14 +108,24 @@ class DivisibilityReport:
         }
 
 
-def _divisibility_report(
-    lc: LPolynomial,
-    ld: LPolynomial,
-    k: int,
-    horizon: int,
-    counts_c,
-    counts_d,
+def check_main_theorem(
+    lc: LPolynomial, ld: LPolynomial, k: int, horizon: int
 ) -> DivisibilityReport:
+    """Run the divisibility criterion on two L-polynomials (``curve_lpoly``
+    gives them for curves); hypothesis 1 is evaluated on the counts they
+    imply for m <= horizon.
+
+    Requires k >= 2: with k = 1 the count hypothesis is vacuous and the
+    criterion asserts nothing.
+    """
+    if k < 2:
+        raise ValueError("the divisibility criterion needs k >= 2")
+    if lc.q != ld.q:
+        raise ValueError("L-polynomials must share the base field size")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    counts_c = counts_from_lpoly(lc, horizon).counts
+    counts_d = counts_from_lpoly(ld, horizon).counts
     rows = []
     first_fail = None
     for m in range(1, horizon + 1):
@@ -148,52 +156,6 @@ def _divisibility_report(
         quotient_in_tk=q_in_tk,
         verdict=verdict,
     )
-
-
-def check_main_theorem(
-    c_c: CurveModel,
-    c_d: CurveModel,
-    k: int,
-    horizon: int,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> DivisibilityReport:
-    """Run the divisibility criterion on two curves, from enumerated counts.
-
-    Requires k >= 2 (with k = 1 the count hypothesis is vacuous and the
-    criterion asserts nothing) and horizon >= max(genus) so both
-    L-polynomials are determined.
-    """
-    if k < 2:
-        raise ValueError("the divisibility criterion needs k >= 2")
-    q = base_field_size(c_c)
-    if base_field_size(c_d) != q:
-        raise ValueError("curves must share the base field")
-    g_c, g_d = genus(c_c), genus(c_d)
-    if horizon < max(g_c, g_d):
-        raise ValueError(f"horizon must be >= max(genus) = {max(g_c, g_d)}")
-    counts_c = count_series(c_c, horizon, threads=threads, max_m=max_m).counts
-    counts_d = count_series(c_d, horizon, threads=threads, max_m=max_m).counts
-    lc = lpoly_from_counts(q, g_c, counts_c)
-    ld = lpoly_from_counts(q, g_d, counts_d)
-    return _divisibility_report(lc, ld, k, horizon, counts_c, counts_d)
-
-
-def check_main_theorem_lpolys(
-    lc: LPolynomial, ld: LPolynomial, k: int, horizon: int
-) -> DivisibilityReport:
-    """Same report, but hypothesis 1 is evaluated on the counts implied by
-    the two L-polynomials."""
-    if k < 2:
-        raise ValueError("the divisibility criterion needs k >= 2")
-    if lc.q != ld.q:
-        raise ValueError("L-polynomials must share the base field size")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    counts_c = counts_from_lpoly(lc, horizon).counts
-    counts_d = counts_from_lpoly(ld, horizon).counts
-    return _divisibility_report(lc, ld, k, horizon, counts_c, counts_d)
 
 
 def master_identity_check(lc: LPolynomial, ld: LPolynomial, k: int) -> bool:
@@ -378,7 +340,7 @@ def dk_report_from_counts(k: int, counts) -> DkReport:
     g_k = (1 << (k - 1)) + 1
     counts = list(counts)
     ldk = lpoly_from_counts(2, g_k, counts)
-    ld1 = lpoly_from_counts(2, 2, count_series(dk_curve(1), 2, threads=1).counts)
+    ld1 = curve_lpoly(dk_curve(1), threads=1)
     div, quot = divides_with_quotient(ld1.poly, ldk.poly)
     structure = _quotient_structure(k, quot) if div else QuotientStructure(kind="undivided")
     return DkReport(

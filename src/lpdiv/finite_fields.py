@@ -2,12 +2,14 @@
 for p = 2 and bulk digit arithmetic for odd p.
 
 Elements are plain ints: for p = 2 the bits are coordinates in the power
-basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``),
-and arithmetic decodes to GF(p)[t], computes there modulo the modulus and
-encodes back; ``bulk_decode``/``bulk_encode`` do the same encoding on
-numpy arrays, and ``mul_matrices`` gives the m x m digit matrices over
-GF(p) of multiplications by constants.  A ``FiniteField`` is immutable
-after construction and safe to share across workers.
+basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``).
+The only scalar operations are ``mul`` and ``pow_el``, which build the
+constants the bulk kernels start from; no map is evaluated one element at
+a time here (the test oracles do that, on arithmetic of their own).
+``bulk_decode``/``bulk_encode`` convert codes to digit arrays and back,
+and ``mul_matrices`` gives the m x m digit matrices over GF(p) of
+multiplications by constants.  A ``FiniteField`` is immutable after
+construction and safe to share across workers.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -80,23 +82,6 @@ class ModulusReducible(ValueError):
 
 class TooLarge(ValueError):
     """An enumeration exceeds the configured bound."""
-
-
-class Pole:
-    """Outcome of evaluating a rational map where its denominator vanishes."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "POLE"
-
-
-POLE = Pole()
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -214,24 +199,11 @@ class FiniteField:
         self.generator = self._find_generator()
         if p == 2:
             self._dual_masks = self._build_dual_masks()
-            self._trace_mask = self._dual_masks[0]
         else:  # t^i mod the modulus, i < 2m - 1: y -> c*y maps t^j to sum c_k t^(j+k)
             monomials = ((0,) * i + (1,) for i in range(2 * m - 1))
             self._reduced = tuple(gfpoly.encode(gfpoly.mod(t, modulus, p), p) for t in monomials)
 
     # -- scalar arithmetic ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        p = self.p
-        return gfpoly.encode(gfpoly.add(gfpoly.decode(a, p), gfpoly.decode(b, p), p), p)
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        p = self.p
-        return gfpoly.encode(gfpoly.sub((), gfpoly.decode(a, p), p), p)
 
     def mul(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -242,7 +214,7 @@ class FiniteField:
 
     def pow_el(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow_el(self.inv(a), -e)
+            raise ValueError("exponent must be >= 0")
         r = 1
         while e:
             if e & 1:
@@ -250,25 +222,6 @@ class FiniteField:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return self.pow_el(a, self.order - 2)
-
-    def trace(self, a: int) -> int:
-        """Trace down to GF(p): a + a^p + ... + a^(p^(m-1))."""
-        if self.p == 2:
-            return (a & self._trace_mask).bit_count() & 1
-        acc = 0
-        x = a
-        for _ in range(self.m):
-            acc = self.add(acc, x)
-            x = self.pow_el(x, self.p)
-        return acc  # lies in the prime field, so the encoding is the value
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def to_json_dict(self) -> dict:
         return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
@@ -360,36 +313,29 @@ class FiniteField:
         the m dual masks."""
         return _xor_gather(_xor_tables(np.array(self._dual_masks, dtype=np.uint64)), block)
 
-    def power_tables(self, *, duals: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, logs): exps[i] = g^i for i < order - 1 (uint32 codes) and
-        logs its inverse permutation (int32; logs[0] is unused).  With
-        ``duals`` (p = 2), (exps, duals) instead: duals[y] = M(1/y) (uint32,
-        duals[0] = 0), so Tr(x/y) = parity(x & duals[y]).  Either way 8
-        bytes per element.  One walk of g fills them chunk by chunk (a
-        geometric block of ``_TABLE_CHUNK`` powers, times g^lo per chunk);
-        duals take one more pass over exps.
+    def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exps, duals) for p = 2: exps[i] = g^i for i < order - 1 and
+        duals[y] = M(1/y), with duals[0] = 0, so Tr(x/y) = parity(x &
+        duals[y]); both uint32, 8 bytes per element.  One walk of g fills
+        exps chunk by chunk (a geometric block of ``_TABLE_CHUNK`` powers,
+        times g^lo per chunk), and one more pass over exps fills duals.
         Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so codes
-        fit uint32 and indices int32.  Built on every call and not kept,
-        so the caller owns and drops them."""
+        fit uint32 and indices int32; odd p raises ValueError.  Built on
+        every call and not kept, so the caller owns and drops them."""
         if self.order > POWER_TABLE_MAX:
             raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
-        if duals and self.p != 2:
+        if self.p != 2:
             raise ValueError("trace-dual tables are implemented for p = 2 only")
         n = self.order - 1
         chunk = min(_TABLE_CHUNK, n)
         block = self.geometric_block(self.generator, chunk)
         jump = self.pow_el(self.generator, chunk)
         exps = np.empty(n, dtype=np.uint32)
-        logs = None if duals else np.zeros(self.order, dtype=np.int32)
         c = 1
         for lo in range(0, n, chunk):
-            vals = self._const_mul_block(c, block[: n - lo])  # g^i for lo <= i < lo + chunk
-            exps[lo : lo + chunk] = vals
-            if logs is not None:
-                logs[vals] = np.arange(lo, lo + len(vals), dtype=np.int32)
+            # g^i for lo <= i < lo + chunk
+            exps[lo : lo + chunk] = self._const_mul_block(c, block[: n - lo])
             c = self.mul(c, jump)
-        if logs is not None:
-            return exps, logs
         # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1
         masks = _xor_tables(np.array(self._dual_masks, dtype=np.uint64)).astype(np.uint32)
         dual_table = np.zeros(self.order, dtype=np.uint32)
@@ -432,14 +378,17 @@ class FiniteField:
     # -- small-field log tables (odd p) -------------------------------------
 
     def small_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``power_tables`` for fields of order at most ``LOG_TABLE_MAX``
-        (larger orders raise TooLarge), both as int64: exps[i] = g^i for
-        i < order - 1 and logs its inverse, 16 bytes per element.  Built on
-        every call and not kept on the (cached, shared) field."""
+        """(exps, logs) for fields of order at most ``LOG_TABLE_MAX`` (larger
+        orders raise TooLarge), both int64: exps[i] = g^i for i < order - 1
+        and logs its inverse permutation (logs[0] is unused), 16 bytes per
+        element.  Built on every call and not kept on the (cached, shared)
+        field."""
         if self.order > LOG_TABLE_MAX:
             raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
-        exps, logs = self.power_tables()
-        return exps.astype(np.int64), logs.astype(np.int64)
+        exps = self.geometric_block(self.generator, self.order - 1).astype(np.int64)
+        logs = np.zeros(self.order, dtype=np.int64)
+        logs[exps] = np.arange(self.order - 1)
+        return exps, logs
 
 
 @lru_cache(maxsize=128)  # a field is rebuilt equal (same modulus and generator) after eviction
@@ -462,30 +411,6 @@ def make_field(p: int, m: int, modulus=None) -> FiniteField:
     and shared (they are immutable)."""
     mod_key = tuple(int(c) for c in modulus) if modulus is not None else None
     return _cached_field(p, m, mod_key)
-
-
-def field_from_json_dict(obj: dict) -> FiniteField:
-    return make_field(int(obj["p"]), int(obj["m"]), obj.get("modulus"))
-
-
-def eval_rational_map(field: FiniteField, f: RationalMap, x: int):
-    """f(x), or POLE where the denominator vanishes."""
-    if f.p != field.p:
-        raise ValueError("rational map characteristic does not match the field")
-    den = _eval_poly(field, f.den, x)
-    if den == 0:
-        return POLE
-    num = _eval_poly(field, f.num, x)
-    if num == 0:
-        return 0
-    return field.mul(num, field.inv(den))
-
-
-def _eval_poly(field: FiniteField, coeffs: tuple[int, ...], x: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c % field.p)
-    return acc
 
 
 def char_sum(
@@ -543,7 +468,7 @@ def _xor_progression(out: np.ndarray, table: np.ndarray, start: int, step: int) 
 
 def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     n = field.order - 1
-    exps, duals = field.power_tables(duals=True)
+    exps, duals = field.power_tables()
     chunk = min(_TABLE_CHUNK, n)
     num_terms = [e % n for e, c in enumerate(f.num) if c]
     den_terms = [e % n for e, c in enumerate(f.den) if c]

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import PointCountSeries
+from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int
+from .finite_fields import DEFAULT_MAX_M
 from .intpoly import (
     IntPoly,
     NotPowerSums,
@@ -56,10 +57,16 @@ class LPolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LPolynomial":
+        """Numbers are JSON integers or decimal strings; anything else
+        raises ValueError."""
+
+        def read(value, key):
+            return int(value) if isinstance(value, str) else json_int(value, key)
+
         return cls(
-            q=int(obj["q"]),
-            g=int(obj["g"]),
-            poly=IntPoly(int(c) for c in obj["coeffs"]),
+            q=read(obj["q"], "q"),
+            g=read(obj["g"], "g"),
+            poly=IntPoly(read(c, "coeffs") for c in obj["coeffs"]),
         )
 
 
@@ -95,6 +102,23 @@ def lpoly_from_counts(q: int, g: int, counts) -> LPolynomial:
     lp = LPolynomial(q=q, g=g, poly=IntPoly(coeffs))
     _cross_check_counts(lp, counts)
     return lp
+
+
+def curve_lpoly(
+    curve: CurveModel,
+    horizon: int | None = None,
+    *,
+    threads: int | None = None,
+    max_m: int = DEFAULT_MAX_M,
+) -> LPolynomial:
+    """The L-polynomial of a curve from its counts N_1..N_r, r =
+    max(horizon, genus, 1); the counts beyond the genus are cross-checked
+    against the polynomial."""
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    g = genus(curve)
+    counts = count_series(curve, max(horizon or 0, g, 1), threads=threads, max_m=max_m).counts
+    return lpoly_from_counts(base_field_size(curve), g, counts)
 
 
 def _cross_check_counts(lp: LPolynomial, counts) -> None:

@@ -1,14 +1,16 @@
 """Independent reference routes used as test oracles.
 
-Everything here recomputes results by definition or brute force, using at
-most the scalar field primitives, so the fast library paths are checked
-against genuinely different computations."""
+Everything here recomputes results by definition or brute force, on
+arithmetic of its own (GF(p)[t] on coefficient tuples, integer polynomials
+over Q), so the fast library paths are checked against genuinely different
+computations."""
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
-from lpdiv.finite_fields import POLE, FiniteField, eval_rational_map, make_field
 from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import LPolynomial
 
@@ -76,27 +78,128 @@ def first_irreducible(p, m):
     raise AssertionError
 
 
+# -- GF(p^m) on coefficient tuples -------------------------------------------
+
+
+class TupleField:
+    """GF(p^m) as GF(p)[t] modulo ``modulus`` (``first_irreducible(p, m)``
+    by default), elements as ascending coefficient tuples without trailing
+    zeros, multiplied by schoolbook multiply-and-reduce; neither
+    ``FiniteField`` nor ``lpdiv.gfpoly`` is used.  Up to ``TABLE_MAX``
+    elements, the powers of a generator found by brute force are tabulated
+    once, so that enumerations multiply by table lookups."""
+
+    TABLE_MAX = 1 << 12
+
+    def __init__(self, p, m, modulus=None):
+        self.p, self.m, self.order = p, m, p**m
+        self.modulus = tuple(modulus) if modulus is not None else first_irreducible(p, m)
+        self._exps, self._logs = [], {}
+        # Tr is GF(p)-linear, so its values on the basis t^0..t^(m-1), each
+        # the sum of that element's m Frobenius powers, fix it
+        self._basis_traces = [self.frobenius_trace((0,) * j + (1,)) for j in range(m)]
+        if self.order <= self.TABLE_MAX:
+            self._tabulate()
+
+    def _tabulate(self):
+        # the powers of the first element of multiplicative order p^m - 1
+        for g in map(self.element, range(1, self.order)):
+            powers, x = [(1,)], g
+            while x != (1,):
+                powers.append(x)
+                x = self.mul(x, g)
+            if len(powers) == self.order - 1:
+                self._exps, self._logs = powers, {y: i for i, y in enumerate(powers)}
+                return
+        raise AssertionError("no generator found")
+
+    def element(self, code):
+        """The tuple of the base-p digits of an integer code (the library's
+        encoding)."""
+        digits = []
+        for _ in range(self.m):
+            digits.append(code % self.p)
+            code //= self.p
+        return _norm(digits, self.p)
+
+    def code(self, a):
+        return sum(c * self.p**i for i, c in enumerate(a))
+
+    def elements(self):
+        return [self.element(v) for v in range(self.order)]
+
+    def add(self, a, b):
+        if len(a) < len(b):
+            a, b = b, a
+        return _norm([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)], self.p)
+
+    def mul(self, a, b):
+        if not a or not b:
+            return ()
+        if self._logs:
+            return self._exps[(self._logs[a] + self._logs[b]) % (self.order - 1)]
+        return _polymod(_polymul(a, b, self.p), self.modulus, self.p)
+
+    def power(self, a, e):
+        r = (1,)
+        for bit in bin(e)[2:]:
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return self.power(a, self.order - 2)
+
+    def evaluate(self, coeffs, x):
+        acc = ()
+        for c in reversed(coeffs):
+            acc = self.add(self.mul(acc, x), _norm((c,), self.p))
+        return acc
+
+    def frobenius_trace(self, a):
+        """Tr(a) = a + a^p + ... + a^(p^(m-1)), as an int in GF(p)."""
+        acc = ()
+        for _ in range(self.m):
+            acc = self.add(acc, a)
+            a = self.power(a, self.p)
+        if len(acc) > 1:
+            raise AssertionError("trace left the prime field")
+        return acc[0] if acc else 0
+
+    def trace(self, a):
+        """``frobenius_trace``, taken linearly from the basis values."""
+        return sum(c * t for c, t in zip(a, self._basis_traces)) % self.p
+
+
+@lru_cache(maxsize=None)
+def tuple_field(p, m, modulus=None) -> TupleField:
+    return TupleField(p, m, modulus)
+
+
 # -- traces and character sums by definition --------------------------------
 
 
-def trace_by_definition(field: FiniteField, x: int) -> int:
-    """x + x^p + ... + x^(p^(m-1)) via repeated Frobenius."""
-    acc = 0
-    y = x
-    for _ in range(field.m):
-        acc = field.add(acc, y)
-        y = field.pow_el(y, field.p)
-    return acc
+def trace_by_definition(field, x: int) -> int:
+    """Tr(x) of the code x of ``field``, in a ``TupleField`` on the same
+    modulus (only the field's p, m and modulus are read)."""
+    oracle = tuple_field(field.p, field.m, field.modulus)
+    return oracle.trace(oracle.element(x))
 
 
-def naive_char_sum(field: FiniteField, f) -> int:
-    total = 0
-    for x in field.elements():
-        v = eval_rational_map(field, f, x)
-        if v is POLE:
-            continue
-        total += 1 if field.trace(v) == 0 else -1
-    return total
+def eval_map(field: TupleField, f, x):
+    """f(x) = num(x) * den(x)^(-1) for a rational map f, or None at a pole."""
+    den = field.evaluate(f.den, x)
+    return field.mul(field.evaluate(f.num, x), field.inv(den)) if den else None
+
+
+def naive_char_sum(m: int, f) -> int:
+    """Sum of (-1)^Tr(f(x)) over GF(2^m), poles left out."""
+    field = tuple_field(2, m)
+    values = [eval_map(field, f, x) for x in field.elements()]
+    return sum(1 - 2 * field.trace(v) for v in values if v is not None)
 
 
 # -- per-(x, y) point counting ----------------------------------------------
@@ -105,58 +208,37 @@ def naive_char_sum(field: FiniteField, f) -> int:
 def naive_count_as2(curve, m: int) -> int:
     """Count solutions of y^2 + y = f(x) pair by pair, then add one place
     per rational pole of f and the solutions above x = infinity."""
-    field = make_field(2, m)
-    lhs = [field.add(field.mul(y, y), y) for y in field.elements()]
+    field = tuple_field(2, m)
+    lhs = Counter(field.add(field.mul(y, y), y) for y in field.elements())
     total = 0
     for x in field.elements():
-        fx = eval_rational_map(field, curve.f, x)
-        if fx is POLE:
-            total += 1
-        else:
-            total += lhs.count(fx)
+        fx = eval_map(field, curve.f, x)
+        total += 1 if fx is None else lhs[fx]  # one place above a pole
     deg_num = len(curve.f.num) - 1
     deg_den = len(curve.f.den) - 1
     if deg_num > deg_den:
         total += 1
     else:
-        f_inf = 1 if deg_num == deg_den else 0
-        total += lhs.count(f_inf)
+        total += lhs[(1,) if deg_num == deg_den else ()]
     return total
 
 
 def naive_count_hyper(curve, m: int) -> int:
     """Count solutions of y^2 + h(x) y = f(x) pair by pair; at infinity,
     count square roots of the leading coefficient of 4f + h^2 by
-    enumeration.  GF(p^m) is GF(p)[t] modulo ``first_irreducible(p, m)``,
-    with schoolbook multiply-and-reduce on coefficient tuples here: neither
-    ``FiniteField`` nor ``lpdiv.gfpoly`` is used."""
+    enumeration."""
     p = curve.p
-    modulus = first_irreducible(p, m)
-
-    def mul(a, b):
-        return _polymod(_polymul(a, b, p), modulus, p)
-
-    def add(a, b):
-        if len(a) < len(b):
-            a, b = b, a
-        return _norm([c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)], p)
-
-    def evaluate(coeffs, x):
-        acc = ()
-        for c in reversed(coeffs):
-            acc = add(mul(acc, x), (c,))
-        return acc
-
-    elements = [_norm(coeffs[:-1], p) for coeffs in _monic_polys(m, p)]
-    squares = [mul(y, y) for y in elements]
+    field = tuple_field(p, m)
+    elements = field.elements()
+    squares = [field.mul(y, y) for y in elements]
     total = 0
     for x in elements:
-        hx = evaluate(curve.h, x)
-        fx = evaluate(curve.f, x)
+        hx = field.evaluate(curve.h, x)
+        fx = field.evaluate(curve.f, x)
         for y, y2 in zip(elements, squares):
-            if add(y2, mul(hx, y)) == fx:
+            if field.add(y2, field.mul(hx, y)) == fx:
                 total += 1
-    rhs = add(_norm([4 * c for c in curve.f], p), _polymul(curve.h, curve.h, p))
+    rhs = field.add(_norm([4 * c for c in curve.f], p), _polymul(curve.h, curve.h, p))
     if (len(rhs) - 1) % 2 == 1:
         total += 1
     else:

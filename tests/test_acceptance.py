@@ -18,7 +18,7 @@ from lpdiv.cli import emit_report, main as cli_main
 from lpdiv.curves import count_points, count_series, curve_from_json_dict, dk_curve
 from lpdiv.decomp import (
     Verdict,
-    check_main_theorem_lpolys,
+    check_main_theorem,
     converse_counts_check,
     counterexample_f3,
     gsum_invariance_scan,
@@ -187,7 +187,7 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
                 qpoly = None
                 ld = oracles.make_weil_lpoly(rng, q, rng.randint(1, 6 - g_c))
             horizon = 2 * (lc.g + ld.g) + 1
-            rep = check_main_theorem_lpolys(lc, ld, k, horizon)
+            rep = check_main_theorem(lc, ld, k, horizon)
             assert rep.verdict is not Verdict.VIOLATION, (q, k, lc, ld)
             verdicts[rep.verdict] += 1
             if qpoly is not None:

@@ -58,6 +58,18 @@ class TestCommands:
         assert obj["verdict"] == "HypothesisFails"
         assert obj["hyp1_first_fail"] == 2
 
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize("horizon", [(), ("--horizon", "12")], ids=["default", "12"])
+    def test_check_div_on_curves_equals_lpolynomials(self, capsys, fmt, horizon):
+        # each curve is counted to the report's horizon
+        def check_div(lc, ld):
+            return run_cli(capsys, "check-div", "--lc", str(SAMPLES / lc), "--ld", str(SAMPLES / ld),
+                           "--k", "6", "--format", fmt, *horizon)
+
+        from_curves = check_div("f3_lc_curve.json", "f3_ld_curve.json")
+        assert from_curves == check_div("f3_lc.json", "f3_ld.json")
+        assert from_curves[0] == 0 and from_curves[2] == ""
+
     def test_check_div_holds(self, capsys, tmp_path):
         lc = tmp_path / "lc.json"
         ld = tmp_path / "ld.json"
@@ -156,6 +168,26 @@ class TestErrors:
             "monomial (table_max_m is an argument of the library's char_sum, not a "
             "command-line option)\n"
         )
+
+    @pytest.mark.parametrize("command", ["count", "lpoly", "check-div"])
+    @pytest.mark.parametrize("content", [
+        "[]",
+        '"d1"',
+        '{"model": "as2", "f_num": [1, 0, 0, 1], "f_den": [0]}',
+        '{"model": "as2", "f_num": [1, 0, 0, 1], "f_den": []}',
+        '{"model": "as2", "f_num": [0, 0, 0, 1.5], "f_den": [1]}',
+    ], ids=["list", "string", "zero-den", "empty-den", "float-coeff"])
+    def test_malformed_file_is_an_error_line(self, capsys, tmp_path, command, content):
+        bad = tmp_path / "curve.json"
+        bad.write_text(content)
+        argv = {
+            "count": ("count", "--curve", str(bad), "--m", "3"),
+            "lpoly": ("lpoly", "--curve", str(bad)),
+            "check-div": ("check-div", "--lc", str(bad), "--ld", str(SAMPLES / "d2.json"), "--k", "2"),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_invalid_curve_model(self, capsys, tmp_path):
         bad = tmp_path / "curve.json"
@@ -256,14 +288,14 @@ class TestExitCodeTwo:
         # a ViolationFound verdict cannot be produced by honest inputs, so
         # force one to pin the exit-code contract
         import lpdiv.cli as cli_mod
-        from lpdiv.decomp import check_main_theorem_lpolys as real_check
+        from lpdiv.decomp import check_main_theorem as real_check
         from dataclasses import replace
         from lpdiv.decomp import Verdict
 
         def forced(*args, **kwargs):
             return replace(real_check(*args, **kwargs), verdict=Verdict.VIOLATION)
 
-        monkeypatch.setattr(cli_mod, "check_main_theorem_lpolys", forced)
+        monkeypatch.setattr(cli_mod, "check_main_theorem", forced)
         code, _, _ = run_cli(
             capsys,
             "check-div",

@@ -57,6 +57,19 @@ class TestModels:
         with pytest.raises(ValueError):
             curve_from_json_dict({"model": "weierstrass"})
 
+    @pytest.mark.parametrize("obj", [
+        {"model": "as2", "f_num": [0, 0, 0, 1.5], "f_den": [1]},  # not read as x^3
+        {"model": "as2", "f_num": [0, 0, 0, 1], "f_den": [1.0]},
+        {"model": "as2", "f_num": [0, 0, 0, True], "f_den": [1]},
+        {"model": "hyper_odd", "p": 3.0, "h": [], "f": [1, 0, 2, 1]},
+        {"model": "hyper_odd", "p": 3, "h": [], "f": [1, 0, 2, 1.0]},
+        {"model": "hyper_odd", "p": 3, "h": [False], "f": [1, 0, 2, 1]},
+        {"model": "hyper_odd", "p": 3, "h": [], "f": ["1", 0, 2, 1]},
+    ])
+    def test_non_integer_coefficients_rejected(self, obj):
+        with pytest.raises(ValueError, match="expected an integer"):
+            curve_from_json_dict(obj)
+
 
 class TestGenus:
     def test_d1(self):
@@ -208,9 +221,7 @@ class TestGsum:
 
     @pytest.mark.parametrize("k,m", [(1, 5), (2, 6), (3, 7)])
     def test_matches_naive(self, k, m):
-        from lpdiv.finite_fields import make_field
-
-        assert gsum(k, m) == oracles.naive_char_sum(make_field(2, m), dk_map(k))
+        assert gsum(k, m) == oracles.naive_char_sum(m, dk_map(k))
 
     def test_reduced_exponent_matches_full_map(self):
         # gsum counts x^(2^(k mod m)+1) + x^(-1); the full dk_map(k) must agree,
@@ -259,17 +270,23 @@ class TestOddKernel:
     def test_oracle_shares_no_arithmetic_with_the_library(self, monkeypatch):
         # A fault in gfpoly or FiniteField arithmetic must not reach the
         # brute-force reference as well as the kernel.
-        c = OddHyperellipticCurve(*ODD_KERNEL_CASES[0][:3])
-        want = count_points(c, 3)
+        c, d2, d1_map = OddHyperellipticCurve(*ODD_KERNEL_CASES[0][:3]), dk_curve(2), dk_map(1)
+        want = count_points(c, 3), count_points(d2, 5), gsum(1, 6)
 
         def refuse(*args):
             raise AssertionError("library arithmetic used by the oracle")
 
         for name in ("add", "sub", "mul", "mod", "divmod_", "encode", "decode"):
             monkeypatch.setattr(gfpoly, name, refuse)
-        for name in ("add", "neg", "mul"):
+        for name in ("mul", "pow_el"):
             monkeypatch.setattr(FiniteField, name, refuse)
-        assert oracles.naive_count_hyper(c, 3) == want
+        oracles.tuple_field.cache_clear()  # build the oracle fields anew
+        got = (
+            oracles.naive_count_hyper(c, 3),
+            oracles.naive_count_as2(d2, 5),
+            oracles.naive_char_sum(6, d1_map),
+        )
+        assert got == want
 
     def test_cases_cover_the_branches(self):
         rhs = [OddHyperellipticCurve(p, h, f).squared_rhs() for p, h, f, _ in ODD_KERNEL_CASES]

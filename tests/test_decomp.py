@@ -13,7 +13,6 @@ from lpdiv.decomp import (
     SplitResult,
     Verdict,
     check_main_theorem,
-    check_main_theorem_lpolys,
     converse_counts_check,
     counterexample_f3,
     dk_report_from_counts,
@@ -23,7 +22,7 @@ from lpdiv.decomp import (
     verify_conjecture_dk,
 )
 from lpdiv.intpoly import IntPoly
-from lpdiv.zeta import LPolynomial, counts_from_lpoly, lpoly_from_counts
+from lpdiv.zeta import LPolynomial, counts_from_lpoly, curve_lpoly, lpoly_from_counts
 
 import oracles
 
@@ -34,21 +33,26 @@ L_D1 = LPolynomial(q=2, g=2, poly=IntPoly([1, 1, 0, 2, 4]))
 L_X3 = LPolynomial(q=2, g=1, poly=IntPoly([1, 0, 2]))
 
 
+def check_curves(c_c, c_d, k: int, horizon: int):
+    """The criterion on two curves, each counted to the horizon."""
+    return check_main_theorem(curve_lpoly(c_c, horizon), curve_lpoly(c_d, horizon), k, horizon)
+
+
 class TestCheckMainTheorem:
     def test_d1_d2_holds(self):
-        rep = check_main_theorem(dk_curve(1), dk_curve(2), 2, 10)
+        rep = check_curves(dk_curve(1), dk_curve(2), 2, 10)
         assert rep.verdict is Verdict.HOLDS
         assert rep.quotient == IntPoly([1, 0, 2])
         assert rep.quotient_in_tk
         assert rep.hyp1_ok and rep.hyp2_squarefree
 
     def test_identical_curves_trivial(self):
-        rep = check_main_theorem(dk_curve(1), dk_curve(1), 2, 10)
+        rep = check_curves(dk_curve(1), dk_curve(1), 2, 10)
         assert rep.verdict is Verdict.HOLDS
         assert rep.quotient == IntPoly([1])
 
     def test_f3_pair_hypothesis_fails(self):
-        rep = check_main_theorem_lpolys(F3_LC, F3_LD, 6, 12)
+        rep = check_main_theorem(F3_LC, F3_LD, 6, 12)
         assert rep.verdict is Verdict.HYPOTHESIS_FAILS
         assert rep.hyp1_first_fail == 2
         assert not rep.divides
@@ -60,7 +64,7 @@ class TestCheckMainTheorem:
             curve_from_json_dict(json.loads((SAMPLES / f"f3_{name}_curve.json").read_text()))
             for name in ("lc", "ld")
         )
-        rep = check_main_theorem(lc_curve, ld_curve, 6, 7)
+        rep = check_curves(lc_curve, ld_curve, 6, 7)
         assert rep.verdict is Verdict.HYPOTHESIS_FAILS
         assert rep.hyp1_first_fail == 2
         assert not rep.divides
@@ -68,23 +72,30 @@ class TestCheckMainTheorem:
         assert rep.ld == LPolynomial.from_json_dict(json.loads((SAMPLES / "f3_ld.json").read_text()))
 
     def test_hyp1_table_skips_multiples_of_k(self):
-        rep = check_main_theorem_lpolys(L_D1, L_D1, 3, 9)
+        rep = check_main_theorem(L_D1, L_D1, 3, 9)
         assert [m for m, _ in rep.hyp1_equal] == [1, 2, 4, 5, 7, 8]
 
     def test_k_one_rejected(self):
         with pytest.raises(ValueError):
-            check_main_theorem(dk_curve(1), dk_curve(2), 1, 10)
+            check_curves(dk_curve(1), dk_curve(2), 1, 10)
 
-    def test_horizon_must_determine_lpolys(self):
-        with pytest.raises(ValueError):
-            check_main_theorem(dk_curve(1), dk_curve(2), 2, 2)
+    def test_curve_lpoly_counts_to_the_genus(self):
+        # a horizon below the genus still determines the L-polynomial
+        assert curve_lpoly(dk_curve(2), 2) == curve_lpoly(dk_curve(2), 10)
+
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_one_rejected(self, horizon):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            curve_lpoly(dk_curve(1), horizon)
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            check_main_theorem(L_D1, L_D1, 2, horizon)
 
     def test_mismatched_base_fields(self):
         with pytest.raises(ValueError):
-            check_main_theorem_lpolys(L_D1, F3_LD, 2, 8)
+            check_main_theorem(L_D1, F3_LD, 2, 8)
 
     def test_report_json_shape(self):
-        rep = check_main_theorem(dk_curve(1), dk_curve(2), 2, 6)
+        rep = check_curves(dk_curve(1), dk_curve(2), 2, 6)
         obj = rep.to_json_dict()
         assert obj["schema"] == 1
         assert obj["verdict"] == "TheoremApplies&Holds"
@@ -313,7 +324,7 @@ class TestTheoremOracles:
                                  poly=qpoly.inflate(k) * lc.poly)
             else:
                 ld = oracles.make_weil_lpoly(rng, q, rng.randint(1, 3))
-            rep = check_main_theorem_lpolys(lc, ld, k, 2 * (lc.g + ld.g) + 1)
+            rep = check_main_theorem(lc, ld, k, 2 * (lc.g + ld.g) + 1)
             assert rep.verdict is not Verdict.VIOLATION
             holds += rep.verdict is Verdict.HOLDS
         assert holds >= 10  # the criterion must actually fire, not just abstain

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from lpdiv import zeta
 from lpdiv.curves import count_series, dk_curve
 from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import (
     LPolynomial,
     NotConsistent,
     counts_from_lpoly,
+    curve_lpoly,
     extension_lpoly,
     lpoly_from_counts,
     mod_p_degree,
@@ -189,6 +191,47 @@ class TestRoundtripProperty:
             assert lpoly_from_counts(q, g, counts) == lp
             assert validate_lpoly(lp).ok
 
+    def test_json_reads_integers_and_decimal_strings(self):
+        obj = {"q": 2, "g": "2", "coeffs": [1, "1", 0, "2", 4]}
+        assert LPolynomial.from_json_dict(obj) == L_D1
+
+    @pytest.mark.parametrize("obj", [
+        {"q": 3, "g": 1, "coeffs": ["1", "1", 2.9]},  # not read as 2
+        {"q": 3, "g": 1, "coeffs": ["1", "1", "3.0"]},
+        {"q": 3, "g": 1, "coeffs": ["1", True, "3"]},
+        {"q": 3.0, "g": 1, "coeffs": ["1", "1", "3"]},
+        {"q": 3, "g": 1.5, "coeffs": ["1", "1", "3"]},
+    ])
+    def test_json_non_integers_rejected(self, obj):
+        with pytest.raises(ValueError):
+            LPolynomial.from_json_dict(obj)
+
     def test_json_roundtrip(self):
         assert LPolynomial.from_json_dict(L_D1.to_json_dict()) == L_D1
         assert L_D1.to_json_dict() == {"q": 2, "g": 2, "coeffs": ["1", "1", "0", "2", "4"]}
+
+
+class TestCurveLpoly:
+    def test_counts_to_the_horizon_or_the_genus(self, monkeypatch):
+        seen = []
+        real = zeta.count_series
+
+        def recording(curve, r, **kwargs):
+            seen.append(r)
+            return real(curve, r, **kwargs)
+
+        monkeypatch.setattr(zeta, "count_series", recording)
+        assert curve_lpoly(dk_curve(1), 6) == L_D1
+        assert curve_lpoly(dk_curve(1)) == curve_lpoly(dk_curve(1), 1) == L_D1
+        assert seen == [6, 2, 2]
+
+    def test_extra_counts_are_cross_checked(self, monkeypatch):
+        real = zeta.count_series
+
+        def wrong_last(curve, r, **kwargs):
+            series = real(curve, r, **kwargs)
+            return series.__class__(q=series.q, counts=series.counts[:-1] + (series.counts[-1] + 2,))
+
+        monkeypatch.setattr(zeta, "count_series", wrong_last)
+        with pytest.raises(NotConsistent, match="N_5"):
+            curve_lpoly(dk_curve(1), 5)
