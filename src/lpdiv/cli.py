@@ -1,6 +1,8 @@
 """Command-line interface: point counts, L-polynomials, exponential sums,
 and the divisibility/conjecture verifiers, with deterministic table or JSON
-reports.
+reports.  Extension degrees are bounded by m <= 34, fixed in the field
+constructor (a longer count series is refused before its first count), and
+odd-characteristic fields by order 2^30.
 
 Exit codes: 0 success (findings included), 1 usage or input errors, 2 for a
 theorem-oracle violation (those indicate bugs, not discoveries)."""
@@ -18,12 +20,12 @@ from .decomp import (
     DkReport,
     GsumTable,
     Verdict,
+    check_criterion_inputs,
     check_main_theorem,
     counterexample_f3,
     gsum_invariance_scan,
     verify_conjecture_dk,
 )
-from .finite_fields import DEFAULT_MAX_M
 from .intpoly import format_poly
 from .zeta import LPolynomial, curve_lpoly
 
@@ -61,8 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--horizon", type=int, default=None)
         p.add_argument("--threads", type=int, default=None, help="parallel workers (default: CPUs this process may run on)")
         p.add_argument("--format", dest="fmt", choices=("table", "json"), default="json")
-        p.add_argument("--max-m", dest="max_m", type=int, default=DEFAULT_MAX_M,
-                       help="enumeration bound override")
         return p
 
     add("count", "exact point count of a curve over F_{q^m}", curve=True, m=True)
@@ -177,7 +177,7 @@ def run(config: argparse.Namespace) -> int:
     cmd = config.command
     if cmd == "count":
         curve = curve_from_json_dict(_load_json(config.curve))
-        n = count_points(curve, config.m, threads=config.threads, max_m=config.max_m)
+        n = count_points(curve, config.m, threads=config.threads)
         payload = {
             "schema": 1, "type": "point_count",
             "q": base_field_size(curve), "m": config.m, "count": n,
@@ -186,7 +186,7 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
     if cmd == "lpoly":
         curve = curve_from_json_dict(_load_json(config.curve))
-        lp = curve_lpoly(curve, config.horizon, threads=config.threads, max_m=config.max_m)
+        lp = curve_lpoly(curve, config.horizon, threads=config.threads)
         if config.fmt == "json":
             payload = {"schema": 1, "type": "lpolynomial", **lp.to_json_dict(),
                        "poly": format_poly(lp.poly, spaced=False)}
@@ -195,35 +195,31 @@ def run(config: argparse.Namespace) -> int:
             sys.stdout.write(emit_report(lp, "table"))
         return EXIT_OK
     if cmd == "gsum":
-        value = gsum(config.k, config.m, threads=config.threads, max_m=config.max_m)
+        value = gsum(config.k, config.m, threads=config.threads)
         payload = {"schema": 1, "type": "gsum", "k": config.k, "m": config.m, "value": value}
         sys.stdout.write(emit_report(payload, config.fmt))
         return EXIT_OK
     if cmd == "verify-dk":
-        if config.k >= 7:
-            sys.stderr.write(
-                f"note: k = {config.k} needs counts up to m = {2 ** (config.k - 1) + 1}; "
-                "this is a long-running job\n"
-            )
-        report = verify_conjecture_dk(
-            config.k, config.horizon, threads=config.threads, max_m=config.max_m
-        )
+        report = verify_conjecture_dk(config.k, config.horizon, threads=config.threads)
         sys.stdout.write(emit_report(report, config.fmt))
         return EXIT_OK
     if cmd == "check-div":
         sides = [_load_side(config.lc), _load_side(config.ld)]
-        genera = [side.g if isinstance(side, LPolynomial) else genus(side) for side in sides]
-        horizon = max(2 * sum(genera), 1) if config.horizon is None else config.horizon
+        (q_c, g_c), (q_d, g_d) = (
+            (side.q, side.g) if isinstance(side, LPolynomial) else (base_field_size(side), genus(side))
+            for side in sides
+        )
+        horizon = max(2 * (g_c + g_d), 1) if config.horizon is None else config.horizon
+        check_criterion_inputs(q_c, q_d, config.k, horizon)  # refuse before counting a curve
         lc, ld = (
-            side if isinstance(side, LPolynomial)
-            else curve_lpoly(side, horizon, threads=config.threads, max_m=config.max_m)
+            side if isinstance(side, LPolynomial) else curve_lpoly(side, horizon, threads=config.threads)
             for side in sides
         )
         report = check_main_theorem(lc, ld, config.k, horizon)
         sys.stdout.write(emit_report(report, config.fmt))
         return EXIT_VIOLATION if report.verdict is Verdict.VIOLATION else EXIT_OK
     if cmd == "scan-gsum":
-        table = gsum_invariance_scan(config.k, config.m, threads=config.threads, max_m=config.max_m)
+        table = gsum_invariance_scan(config.k, config.m, threads=config.threads)
         sys.stdout.write(emit_report(table, config.fmt))
         return EXIT_OK
     if cmd == "counterexample":

@@ -21,7 +21,9 @@ points, chi the quadratic character.  One walk (``_odd_walk``) serves
 every field size: over a chunk of x = g^i, the digits of 4f + h^2 are one
 matmul of fixed digit rows of g^(e*j) by digit matrices over GF(p), and
 chi is a lookup in a bitmap of the squares g^(2i), filled by the same
-walk.  Memory is the bitmap (one byte per element) plus per-chunk rows.
+walk.  Memory is the bitmap (one byte per element) plus per-chunk rows;
+orders above ``POWER_TABLE_MAX`` = 2^30 are refused, so the bitmap stays
+within 1 GiB.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from . import gfpoly
 from .finite_fields import (
     DEFAULT_MAX_M,
+    POWER_TABLE_MAX,
     FiniteField,
     NoPrime,
     RationalMap,
@@ -170,21 +173,16 @@ def two_rank_deuring(c: ArtinSchreierCurve) -> int:
     return s - 1
 
 
-def count_points(
-    c: CurveModel,
-    m: int,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> int:
-    """#C(F_{q^m}) on the smooth projective model, exactly."""
+def count_points(c: CurveModel, m: int, *, threads: int | None = None) -> int:
+    """#C(F_{q^m}) on the smooth projective model, exactly.  m above the
+    enumeration bound ``DEFAULT_MAX_M`` = 34 raises TooLarge (no field of
+    that degree can be built), and so do odd-p fields beyond the walk's
+    float64 range or of order above ``POWER_TABLE_MAX`` = 2^30."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
-    if m > max_m:
-        raise TooLarge(f"m = {m} exceeds the enumeration bound {max_m}")
     if isinstance(c, ArtinSchreierCurve):
         field = make_field(2, m)
-        s = char_sum(field, c.f, threads=threads, max_m=max_m)
+        s = char_sum(field, c.f, threads=threads)
         return (1 << m) + s + _infinity_points_as2(c.f, m)
     return _count_hyper_odd(c, m)
 
@@ -200,8 +198,11 @@ def _infinity_points_as2(f: RationalMap, m: int) -> int:
 
 def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
     rhs = c.squared_rhs()
-    if max(c.p**m, len(rhs) * m * c.p**2) >= 1 << 53:
+    order = c.p**m
+    if max(order, len(rhs) * m * c.p**2) >= 1 << 53:
         raise TooLarge(f"GF({c.p}^{m}) exceeds the exact float64 range of the counting walk")
+    if order > POWER_TABLE_MAX:  # the squares bitmap takes one byte per element
+        raise TooLarge(f"GF({c.p}^{m}) exceeds the order cap {POWER_TABLE_MAX} of the counting walk")
     field = make_field(c.p, m)
     n = field.order - 1
     length = min(_ODD_CHUNK, n, 1 << (n.bit_length() + 5) // 2)  # about 6 sqrt(n), capped
@@ -240,22 +241,16 @@ def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.
         mats = mats @ jumps % p
 
 
-def count_series(
-    c: CurveModel,
-    r: int,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> PointCountSeries:
+def count_series(c: CurveModel, r: int, *, threads: int | None = None) -> PointCountSeries:
     """N_1..N_r, each checked against the Weil bound |N - q^m - 1| <=
     2g sqrt(q^m) before it is returned."""
-    if r > max_m:  # refuse before counting anything
-        raise TooLarge(f"m = {max_m + 1} exceeds the enumeration bound {max_m}")
+    if r > DEFAULT_MAX_M:  # refuse before counting anything
+        raise TooLarge(f"m = {DEFAULT_MAX_M + 1} exceeds the enumeration bound {DEFAULT_MAX_M}")
     q = base_field_size(c)
     g = genus(c)
     counts = []
     for m in range(1, r + 1):
-        n = count_points(c, m, threads=threads, max_m=max_m)
+        n = count_points(c, m, threads=threads)
         if (n - q**m - 1) ** 2 > 4 * g * g * q**m:
             raise RuntimeError(
                 f"count N_{m} = {n} violates the Weil bound for genus {g}; "
@@ -283,21 +278,13 @@ def dk_curve(k: int) -> ArtinSchreierCurve:
     return ArtinSchreierCurve(dk_map(k))
 
 
-def gsum(
-    k: int,
-    m: int,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> int:
+def gsum(k: int, m: int, *, threads: int | None = None) -> int:
     """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1)).
 
     x^(2^k) = x^(2^(k mod m)) on GF(2^m), so the sum is taken for
     x^(2^(k mod m)+1) + x^(-1), whose size does not grow with k."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > max_m:
-        raise TooLarge(f"m = {m} exceeds the enumeration bound {max_m}")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return char_sum(make_field(2, m), _dk_rhs(k % m), threads=threads, max_m=max_m)
+    return char_sum(make_field(2, m), _dk_rhs(k % m), threads=threads)

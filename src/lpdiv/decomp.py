@@ -34,7 +34,6 @@ from enum import Enum
 from math import gcd as int_gcd
 
 from .curves import count_series, dk_curve, gsum
-from .finite_fields import DEFAULT_MAX_M
 from .gfpoly import factor_int
 from .intpoly import (
     IntPoly,
@@ -108,6 +107,18 @@ class DivisibilityReport:
         }
 
 
+def check_criterion_inputs(q_c: int, q_d: int, k: int, horizon: int) -> None:
+    """Raise ValueError unless k >= 2, the base fields agree and horizon >=
+    1: the refusals of ``check_main_theorem``, which a caller can run
+    before it counts any curve."""
+    if k < 2:
+        raise ValueError("the divisibility criterion needs k >= 2")
+    if q_c != q_d:
+        raise ValueError("L-polynomials must share the base field size")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+
 def check_main_theorem(
     lc: LPolynomial, ld: LPolynomial, k: int, horizon: int
 ) -> DivisibilityReport:
@@ -118,12 +129,7 @@ def check_main_theorem(
     Requires k >= 2: with k = 1 the count hypothesis is vacuous and the
     criterion asserts nothing.
     """
-    if k < 2:
-        raise ValueError("the divisibility criterion needs k >= 2")
-    if lc.q != ld.q:
-        raise ValueError("L-polynomials must share the base field size")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    check_criterion_inputs(lc.q, ld.q, k, horizon)
     counts_c = counts_from_lpoly(lc, horizon).counts
     counts_d = counts_from_lpoly(ld, horizon).counts
     rows = []
@@ -313,13 +319,7 @@ class DkReport:
         }
 
 
-def verify_conjecture_dk(
-    k: int,
-    horizon: int | None = None,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> DkReport:
+def verify_conjecture_dk(k: int, horizon: int | None = None, *, threads: int | None = None) -> DkReport:
     """Compute the L-polynomial of y^2 + y = x^(2^k+1) + x^(-1) from counts,
     divide by the k = 1 member, and analyze the quotient structure."""
     if k < 1:
@@ -327,7 +327,7 @@ def verify_conjecture_dk(
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     need = max(horizon or 0, (1 << (k - 1)) + 1)
-    counts = count_series(dk_curve(k), need, threads=threads, max_m=max_m).counts
+    counts = count_series(dk_curve(k), need, threads=threads).counts
     return dk_report_from_counts(k, counts)
 
 
@@ -407,13 +407,7 @@ class GsumTable:
         }
 
 
-def gsum_invariance_scan(
-    k_max: int,
-    m_max: int,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> GsumTable:
+def gsum_invariance_scan(k_max: int, m_max: int, *, threads: int | None = None) -> GsumTable:
     """Tabulate the sums for 1 <= k <= k_max, 1 <= m <= m_max and record
     every (k, m) whose value differs from the gcd(k, m) column.  A nonempty
     mismatch list is a reportable finding, not an error."""
@@ -422,7 +416,7 @@ def gsum_invariance_scan(
     values: dict[tuple[int, int], int] = {}
     for m in range(1, m_max + 1):
         for k in range(1, k_max + 1):
-            values[(k, m)] = gsum(k, m, threads=threads, max_m=max_m)
+            values[(k, m)] = gsum(k, m, threads=threads)
     mismatches = [
         (k, m)
         for (k, m), v in sorted(values.items())

@@ -9,7 +9,9 @@ a time here (the test oracles do that, on arithmetic of their own).
 ``bulk_decode``/``bulk_encode`` convert codes to digit arrays and back,
 and ``mul_matrices`` gives the m x m digit matrices over GF(p) of
 multiplications by constants.  A ``FiniteField`` is immutable after
-construction and safe to share across workers.
+construction and safe to share across workers.  No field of degree above
+the enumeration bound ``DEFAULT_MAX_M`` = 34 can be built, so no count
+beyond it can start.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -81,7 +83,7 @@ class ModulusReducible(ValueError):
 
 
 class TooLarge(ValueError):
-    """An enumeration exceeds the configured bound."""
+    """An enumeration exceeds one of the fixed bounds."""
 
 
 def resolve_threads(threads: int | None) -> int:
@@ -127,13 +129,6 @@ class RationalMap:
         object.__setattr__(self, "num", num_n)
         object.__setattr__(self, "den", den_n)
 
-    def to_json_dict(self) -> dict:
-        return {"num": list(self.num), "den": list(self.den)}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, p: int) -> "RationalMap":
-        return cls(p, tuple(obj["num"]), tuple(obj["den"]))
-
     def laurent_exponents(self) -> tuple[int, ...] | None:
         """Exponent multiset of f as a Laurent polynomial, or None when the
         denominator is not a monomial."""
@@ -177,6 +172,8 @@ class FiniteField:
     of the multiplicative group."""
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
+        if m > DEFAULT_MAX_M:  # before any modulus search or factoring
+            raise TooLarge(f"m = {m} exceeds the enumeration bound {DEFAULT_MAX_M}")
         if factor_int(p) != {p: 1}:
             raise NoPrime(f"{p} is not prime")
         if m < 1:
@@ -222,9 +219,6 @@ class FiniteField:
             a = self.mul(a, a)
             e >>= 1
         return r
-
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "m": self.m, "modulus": list(self.modulus)}
 
     def __repr__(self):
         return f"FiniteField(p={self.p}, m={self.m})"
@@ -418,19 +412,19 @@ def char_sum(
     f: RationalMap,
     *,
     threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
     table_max_m: int = TABLE_MAX_M,
 ) -> int:
     """Sum of (-1)^Tr(f(x)) over every x in the field where f is defined.
 
-    Exact, and independent of how the enumeration is chunked.
+    Exact, and independent of how the enumeration is chunked.  Every field
+    is within the enumeration bound (the constructor refuses m above
+    ``DEFAULT_MAX_M``); maps whose denominator is not a monomial are also
+    refused above ``table_max_m``.
     """
     if field.p != 2:
         raise ValueError("character sums are implemented for p = 2 only")
     if f.p != 2:
         raise ValueError("rational map must be over GF(2)")
-    if field.m > max_m:
-        raise TooLarge(f"m = {field.m} exceeds the enumeration bound {max_m}")
     exponents = f.laurent_exponents()
     if exponents is not None:
         return _char_sum_stream(field, f, exponents, resolve_threads(threads))

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int
-from .finite_fields import DEFAULT_MAX_M
 from .intpoly import (
     IntPoly,
     NotPowerSums,
@@ -104,20 +103,14 @@ def lpoly_from_counts(q: int, g: int, counts) -> LPolynomial:
     return lp
 
 
-def curve_lpoly(
-    curve: CurveModel,
-    horizon: int | None = None,
-    *,
-    threads: int | None = None,
-    max_m: int = DEFAULT_MAX_M,
-) -> LPolynomial:
+def curve_lpoly(curve: CurveModel, horizon: int | None = None, *, threads: int | None = None) -> LPolynomial:
     """The L-polynomial of a curve from its counts N_1..N_r, r =
     max(horizon, genus, 1); the counts beyond the genus are cross-checked
     against the polynomial."""
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     g = genus(curve)
-    counts = count_series(curve, max(horizon or 0, g, 1), threads=threads, max_m=max_m).counts
+    counts = count_series(curve, max(horizon or 0, g, 1), threads=threads).counts
     return lpoly_from_counts(base_field_size(curve), g, counts)
 
 

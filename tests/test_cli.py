@@ -150,11 +150,22 @@ class TestErrors:
         assert code == 1
 
     def test_max_m_enforced(self, capsys):
-        code, _, err = run_cli(
-            capsys, "count", "--curve", str(SAMPLES / "d1.json"), "--m", "12", "--max-m", "10"
+        code, out, err = run_cli(capsys, "count", "--curve", str(SAMPLES / "d1.json"), "--m", "35")
+        assert (code, out) == (1, "")
+        assert err == "error: m = 35 exceeds the enumeration bound 34\n"
+        # the bound is fixed: there is no option to raise it
+        code, out, err = run_cli(
+            capsys, "count", "--curve", str(SAMPLES / "d1.json"), "--m", "3", "--max-m", "40"
         )
-        assert code == 1
-        assert "bound" in err
+        assert (code, out) == (1, "")
+        assert err.startswith("error: unrecognized arguments: --max-m")
+
+    @pytest.mark.parametrize("m", ["19", "33"])
+    def test_odd_order_beyond_the_cap(self, capsys, m):
+        # 3^19 > 2^30: refused before the squares bitmap is allocated
+        code, out, err = run_cli(capsys, "count", "--curve", str(SAMPLES / "hyper3.json"), "--m", m)
+        assert (code, out) == (1, "")
+        assert err == f"error: GF(3^{m}) exceeds the order cap 1073741824 of the counting walk\n"
 
     def test_general_denominator_beyond_table_bound(self, capsys):
         # the bound is a library argument; the message must not point CLI
@@ -243,6 +254,29 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err == "error: horizon must be >= 1\n"
 
+    @pytest.mark.parametrize(
+        "lc,ld,k,horizon,message",
+        [
+            ("d3.json", "d1.json", "1", "30", "the divisibility criterion needs k >= 2"),
+            ("hyper3.json", "d1.json", "2", "30", "L-polynomials must share the base field size"),
+            ("d3.json", "f3_ld.json", "2", "30", "L-polynomials must share the base field size"),
+            ("d3.json", "d1.json", "2", "0", "horizon must be >= 1"),
+        ],
+        ids=["k1", "q-curves", "q-mixed", "horizon-0"],
+    )
+    def test_check_div_refused_before_counting(self, capsys, monkeypatch, lc, ld, k, horizon, message):
+        from lpdiv import curves
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a curve for a refused check")
+
+        monkeypatch.setattr(curves, "count_points", refuse)
+        code, out, err = run_cli(
+            capsys, "check-div", "--lc", str(SAMPLES / lc), "--ld", str(SAMPLES / ld),
+            "--k", k, "--horizon", horizon,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestEntryPoint:
     def test_python_m_lpdiv_runs_in_a_subprocess(self):
@@ -258,7 +292,7 @@ class TestEntryPoint:
 
 class TestVerifyDkNote:
     def test_k6_writes_nothing_to_stderr(self, capsys, monkeypatch):
-        # k = 6 takes seconds, so it gets no long-running-job note
+        # the k = 6 record is stdout only
         import lpdiv.cli as cli_mod
         from lpdiv.decomp import dk_report_from_counts
 
@@ -277,10 +311,7 @@ class TestVerifyDkNote:
         monkeypatch.setattr(curves, "count_points", refuse)
         code, out, err = run_cli(capsys, "verify-dk", "--k", "7")
         assert (code, out) == (1, "")
-        assert err == (
-            "note: k = 7 needs counts up to m = 65; this is a long-running job\n"
-            "error: m = 35 exceeds the enumeration bound 34\n"
-        )
+        assert err == "error: m = 35 exceeds the enumeration bound 34\n"
 
 
 class TestExitCodeTwo:
@@ -314,10 +345,10 @@ class TestThreadResolution:
         assert resolve_threads(None) == 3
         assert resolve_threads(7) == 7  # explicit argument wins
 
-    def test_default_is_cpu_count(self, monkeypatch):
-        import os
-
+    def test_default_is_affinity_count(self, monkeypatch):
+        # the CPUs this process may run on, which under taskset or a cgroup
+        # cpuset can be fewer than os.cpu_count()
         from lpdiv.finite_fields import THREADS_ENV_VAR, resolve_threads
 
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-        assert resolve_threads(None) == (os.cpu_count() or 1)
+        assert resolve_threads(None) == len(os.sched_getaffinity(0))

@@ -197,8 +197,8 @@ class TestCountPoints:
             assert (n - 2**m - 1) ** 2 <= 4 * g * g * 2**m
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            count_points(dk_curve(1), 10, max_m=9)
+        with pytest.raises(TooLarge, match=r"^m = 35 exceeds the enumeration bound 34$"):
+            count_points(dk_curve(1), 35)
 
     def test_series_beyond_the_bound_refused_before_counting(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -338,6 +338,15 @@ class TestOddKernel:
             count_points(OddHyperellipticCurve(67108879, (), (1, 1, 0, 1)), 1)
         with pytest.raises(TooLarge, match="exact float64 range"):  # 3^34 >= 2^53
             count_points(HYPER3, 34)
+
+    def test_order_beyond_the_cap_is_refused_before_a_field_build(self, monkeypatch):
+        # 3^19 > 2^30 = POWER_TABLE_MAX: the squares bitmap would take a GiB
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a field beyond the order cap")
+
+        monkeypatch.setattr(curves, "make_field", refuse)
+        with pytest.raises(TooLarge, match=r"^GF\(3\^19\) exceeds the order cap 1073741824 "):
+            count_points(HYPER3, 19)
 
     def test_verified_f3_curves_reproduce_the_counterexample(self):
         # The published F_3 pair from two curves: N_m agree for m coprime to
