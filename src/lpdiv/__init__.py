@@ -4,7 +4,6 @@ Jacobian decompositions imply."""
 
 from .finite_fields import (
     FiniteField,
-    ModulusReducible,
     NoPrime,
     RationalMap,
     TooLarge,

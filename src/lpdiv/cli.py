@@ -15,6 +15,7 @@ import sys
 
 from .curves import base_field_size, count_points, curve_from_json_dict, genus, gsum
 from .decomp import (
+    SCHEMA_VERSION,
     CounterexampleReport,
     DivisibilityReport,
     DkReport,
@@ -179,7 +180,7 @@ def run(config: argparse.Namespace) -> int:
         curve = curve_from_json_dict(_load_json(config.curve))
         n = count_points(curve, config.m, threads=config.threads)
         payload = {
-            "schema": 1, "type": "point_count",
+            "schema": SCHEMA_VERSION, "type": "point_count",
             "q": base_field_size(curve), "m": config.m, "count": n,
         }
         sys.stdout.write(emit_report(payload, config.fmt))
@@ -188,7 +189,7 @@ def run(config: argparse.Namespace) -> int:
         curve = curve_from_json_dict(_load_json(config.curve))
         lp = curve_lpoly(curve, config.horizon, threads=config.threads)
         if config.fmt == "json":
-            payload = {"schema": 1, "type": "lpolynomial", **lp.to_json_dict(),
+            payload = {"schema": SCHEMA_VERSION, "type": "lpolynomial", **lp.to_json_dict(),
                        "poly": format_poly(lp.poly, spaced=False)}
             sys.stdout.write(emit_report(payload, "json"))
         else:
@@ -196,7 +197,7 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_OK
     if cmd == "gsum":
         value = gsum(config.k, config.m, threads=config.threads)
-        payload = {"schema": 1, "type": "gsum", "k": config.k, "m": config.m, "value": value}
+        payload = {"schema": SCHEMA_VERSION, "type": "gsum", "k": config.k, "m": config.m, "value": value}
         sys.stdout.write(emit_report(payload, config.fmt))
         return EXIT_OK
     if cmd == "verify-dk":

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import gfpoly
 from .finite_fields import (
-    DEFAULT_MAX_M,
     POWER_TABLE_MAX,
     FiniteField,
     NoPrime,
@@ -243,13 +242,16 @@ def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.
 
 def count_series(c: CurveModel, r: int, *, threads: int | None = None) -> PointCountSeries:
     """N_1..N_r, each checked against the Weil bound |N - q^m - 1| <=
-    2g sqrt(q^m) before it is returned."""
-    if r > DEFAULT_MAX_M:  # refuse before counting anything
-        raise TooLarge(f"m = {DEFAULT_MAX_M + 1} exceeds the enumeration bound {DEFAULT_MAX_M}")
+    2g sqrt(q^m) before it is returned.
+
+    Counted from m = r down to 1.  Every bound caps m from above (the field
+    constructor's m <= 34, ``char_sum``'s table bound, the odd-p walk's
+    float64 and order caps), so a series past one is refused by its first
+    count, whose error names m = r."""
     q = base_field_size(c)
     g = genus(c)
     counts = []
-    for m in range(1, r + 1):
+    for m in range(r, 0, -1):
         n = count_points(c, m, threads=threads)
         if (n - q**m - 1) ** 2 > 4 * g * g * q**m:
             raise RuntimeError(
@@ -257,7 +259,7 @@ def count_series(c: CurveModel, r: int, *, threads: int | None = None) -> PointC
                 "this indicates a counting bug"
             )
         counts.append(n)
-    return PointCountSeries(q=q, counts=tuple(counts))
+    return PointCountSeries(q=q, counts=tuple(reversed(counts)))
 
 
 def dk_map(k: int) -> RationalMap:

@@ -410,11 +410,15 @@ class GsumTable:
 def gsum_invariance_scan(k_max: int, m_max: int, *, threads: int | None = None) -> GsumTable:
     """Tabulate the sums for 1 <= k <= k_max, 1 <= m <= m_max and record
     every (k, m) whose value differs from the gcd(k, m) column.  A nonempty
-    mismatch list is a reportable finding, not an error."""
+    mismatch list is a reportable finding, not an error.
+
+    Summed from m = m_max down to 1, so an m_max past the enumeration bound
+    is refused, naming m_max, before any sum is taken; the table is in
+    ascending order whatever the order of the sums."""
     if k_max < 1 or m_max < 1:
         raise ValueError("scan bounds k and m must be >= 1")
     values: dict[tuple[int, int], int] = {}
-    for m in range(1, m_max + 1):
+    for m in range(m_max, 0, -1):
         for k in range(1, k_max + 1):
             values[(k, m)] = gsum(k, m, threads=threads)
     mismatches = [

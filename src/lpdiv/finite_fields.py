@@ -8,8 +8,11 @@ constants the bulk kernels start from; no map is evaluated one element at
 a time here (the test oracles do that, on arithmetic of their own).
 ``bulk_decode``/``bulk_encode`` convert codes to digit arrays and back,
 and ``mul_matrices`` gives the m x m digit matrices over GF(p) of
-multiplications by constants.  A ``FiniteField`` is immutable after
-construction and safe to share across workers.  No field of degree above
+multiplications by constants.  A field is its (p, m): the modulus is
+always the lexicographically first monic irreducible of degree m, so
+``make_field(p, m)`` caches fields by (p, m), and a worker process of the
+p = 2 kernel rebuilds its field from m alone.  A ``FiniteField`` is
+immutable after construction and safe to share.  No field of degree above
 the enumeration bound ``DEFAULT_MAX_M`` = 34 can be built, so no count
 beyond it can start.
 
@@ -76,10 +79,6 @@ THREADS_ENV_VAR = "LPDIV_THREADS"
 
 class NoPrime(ValueError):
     """The requested characteristic is not a prime number."""
-
-
-class ModulusReducible(ValueError):
-    """A supplied field modulus factors over GF(p)."""
 
 
 class TooLarge(ValueError):
@@ -171,21 +170,14 @@ class FiniteField:
     """GF(p^m) with a fixed monic irreducible modulus and a known generator
     of the multiplicative group."""
 
-    def __init__(self, p: int, m: int, modulus: tuple[int, ...] | None = None):
+    def __init__(self, p: int, m: int):
         if m > DEFAULT_MAX_M:  # before any modulus search or factoring
             raise TooLarge(f"m = {m} exceeds the enumeration bound {DEFAULT_MAX_M}")
         if factor_int(p) != {p: 1}:
             raise NoPrime(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = _default_modulus(p, m)
-        else:
-            modulus = gfpoly.normalize(modulus, p)
-            if gfpoly.degree(modulus) != m or modulus[-1] != 1:
-                raise ValueError(f"modulus must be monic of degree {m}")
-            if not gfpoly.is_irreducible(modulus, p):
-                raise ModulusReducible(f"modulus {list(modulus)} factors over GF({p})")
+        modulus = _default_modulus(p, m)
         self.p = p
         self.m = m
         self.modulus = modulus
@@ -385,11 +377,6 @@ class FiniteField:
         return exps, logs
 
 
-@lru_cache(maxsize=128)  # a field is rebuilt equal (same modulus and generator) after eviction
-def _cached_field(p: int, m: int, modulus: tuple[int, ...] | None) -> FiniteField:
-    return FiniteField(p, m, modulus)
-
-
 @lru_cache(maxsize=None)
 def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     # Lexicographically-first monic irreducible: scan by encoded value of the
@@ -400,11 +387,11 @@ def _default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-def make_field(p: int, m: int, modulus=None) -> FiniteField:
-    """Field constructor; instances are cached (the 128 most recently used)
-    and shared (they are immutable)."""
-    mod_key = tuple(int(c) for c in modulus) if modulus is not None else None
-    return _cached_field(p, m, mod_key)
+@lru_cache(maxsize=128)  # a field is rebuilt equal (same modulus and generator) after eviction
+def make_field(p: int, m: int) -> FiniteField:
+    """GF(p^m), cached (the 128 most recently used) and shared (fields are
+    immutable).  A field is its (p, m): the modulus is always the default."""
+    return FiniteField(p, m)
 
 
 def char_sum(
@@ -533,8 +520,8 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
 
 
 def _stream_job(args) -> int:
-    p, m, modulus, exponents, lo, hi = args
-    return _stream_range(make_field(p, m, modulus), exponents, lo, hi)
+    m, exponents, lo, hi = args
+    return _stream_range(make_field(2, m), exponents, lo, hi)
 
 
 def _char_sum_stream(
@@ -546,10 +533,7 @@ def _char_sum_stream(
     if workers == 1:
         return total + _stream_range(field, exponents, 0, n)
     bounds = [n * t // workers for t in range(workers + 1)]
-    jobs = [
-        (field.p, field.m, field.modulus, exponents, bounds[t], bounds[t + 1])
-        for t in range(workers)
-    ]
+    jobs = [(field.m, exponents, bounds[t], bounds[t + 1]) for t in range(workers)]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:

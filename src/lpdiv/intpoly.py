@@ -104,12 +104,6 @@ class IntPoly:
             e >>= 1
         return result
 
-    def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def __getitem__(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
@@ -174,13 +168,6 @@ class IntPoly:
 
     def __str__(self):
         return format_poly(self)
-
-    def to_json_dict(self) -> dict:
-        return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "IntPoly":
-        return cls(int(c) for c in obj["coeffs"])
 
 
 ONE = IntPoly([1])

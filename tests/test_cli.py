@@ -308,10 +308,10 @@ class TestVerifyDkNote:
         def refuse(*args, **kwargs):
             raise AssertionError("counted a series that exceeds the bound")
 
-        monkeypatch.setattr(curves, "count_points", refuse)
+        monkeypatch.setattr(curves, "char_sum", refuse)
         code, out, err = run_cli(capsys, "verify-dk", "--k", "7")
         assert (code, out) == (1, "")
-        assert err == "error: m = 35 exceeds the enumeration bound 34\n"
+        assert err == "error: m = 65 exceeds the enumeration bound 34\n"
 
 
 class TestExitCodeTwo:

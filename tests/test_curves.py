@@ -204,9 +204,31 @@ class TestCountPoints:
         def refuse(*args, **kwargs):
             raise AssertionError("counted a series that exceeds the bound")
 
-        monkeypatch.setattr(curves, "count_points", refuse)
-        with pytest.raises(TooLarge, match=r"^m = 35 exceeds the enumeration bound 34$"):
+        monkeypatch.setattr(curves, "char_sum", refuse)
+        with pytest.raises(TooLarge, match=r"^m = 65 exceeds the enumeration bound 34$"):
             count_series(dk_curve(7), 65)
+
+    # Each series below crosses a bound only at its last m, so the kernel is
+    # patched to raise: a series counted from m = 1 reaches it first.
+    def _sample(self, name):
+        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+        return curve_from_json_dict(json.loads((samples / name).read_text()))
+
+    def test_series_beyond_the_order_cap_refused_before_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a series that exceeds the order cap")
+
+        monkeypatch.setattr(curves, "_odd_walk", refuse)
+        with pytest.raises(TooLarge, match=r"^GF\(3\^19\) exceeds the order cap "):
+            count_series(self._sample("hyper3.json"), 19)
+
+    def test_series_beyond_the_table_bound_refused_before_counting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted a series that exceeds the table bound")
+
+        monkeypatch.setattr(finite_fields, "_char_sum_table", refuse)
+        with pytest.raises(TooLarge, match=r"^m = 23 exceeds the bound m <= 22 "):
+            count_series(self._sample("general4.json"), 23)
 
     def test_bad_extension_degree(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from lpdiv.decomp import (
     split_two_prime,
     verify_conjecture_dk,
 )
+from lpdiv.finite_fields import TooLarge
 from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import LPolynomial, counts_from_lpoly, curve_lpoly, lpoly_from_counts
 
@@ -277,6 +278,16 @@ class TestGsumScan:
         table = gsum_invariance_scan(4, 6)
         assert table.value(2, 4) == table.value(2, 4)  # gcd(2,4)=2: self
         assert table.value(4, 6) == table.value(2, 6)  # gcd(4,6)=2
+
+    def test_scan_beyond_the_bound_refused_before_summing(self, monkeypatch):
+        from lpdiv import curves
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("summed a scan that exceeds the bound")
+
+        monkeypatch.setattr(curves, "char_sum", refuse)
+        with pytest.raises(TooLarge, match=r"^m = 35 exceeds the enumeration bound 34$"):
+            gsum_invariance_scan(1, 35)
 
 
 class TestCounterexample:

@@ -40,10 +40,6 @@ class TestBasics:
         assert format_poly(IntPoly([-1, 1])) == "t - 1"
         assert format_poly(IntPoly()) == "0"
 
-    def test_evaluate(self):
-        assert D1_POLY(1) == 8
-        assert D1_POLY(-1) == 2
-
     def test_inflate_deflate(self):
         h = IntPoly([1, -4, 8])
         assert h.inflate(3).coeffs == (1, 0, 0, -4, 0, 0, 8)
