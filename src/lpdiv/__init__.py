@@ -48,11 +48,9 @@ from .decomp import (
     GsumTable,
     Verdict,
     check_main_theorem,
-    converse_counts_check,
     counterexample_f3,
     dk_report_from_counts,
     gsum_invariance_scan,
-    master_identity_check,
     split_two_prime,
     verify_conjecture_dk,
 )

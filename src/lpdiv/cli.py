@@ -28,7 +28,7 @@ from .decomp import (
     verify_conjecture_dk,
 )
 from .intpoly import format_poly
-from .zeta import LPolynomial, curve_lpoly
+from .zeta import LPolynomial, curve_lpoly, validate_lpoly
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -91,9 +91,16 @@ def _load_json(path: str) -> dict:
 
 def _load_side(path: str):
     """One check-div input: an object with a "model" key is a curve,
-    anything else an L-polynomial."""
+    anything else an L-polynomial, refused unless ``validate_lpoly``
+    passes it."""
     obj = _load_json(path)
-    return curve_from_json_dict(obj) if "model" in obj else LPolynomial.from_json_dict(obj)
+    if "model" in obj:
+        return curve_from_json_dict(obj)
+    lp = LPolynomial.from_json_dict(obj)
+    failures = validate_lpoly(lp).failures
+    if failures:
+        raise UsageError(f"{path} is not an L-polynomial: {'; '.join(failures)}")
+    return lp
 
 
 def emit_report(report, fmt: str = "json") -> str:

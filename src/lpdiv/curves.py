@@ -62,9 +62,6 @@ class ArtinSchreierCurve:
             raise ValueError("Artin-Schreier model requires characteristic 2")
         _pole_places(self.f)  # raises NotReduced on an even pole order
 
-    def to_json_dict(self) -> dict:
-        return {"model": "as2", "f_num": list(self.f.num), "f_den": list(self.f.den)}
-
 
 @dataclass(frozen=True)
 class OddHyperellipticCurve:
@@ -95,9 +92,6 @@ class OddHyperellipticCurve:
             gfpoly.mul(self.h, self.h, self.p),
             self.p,
         )
-
-    def to_json_dict(self) -> dict:
-        return {"model": "hyper_odd", "p": self.p, "h": list(self.h), "f": list(self.f)}
 
 
 CurveModel = ArtinSchreierCurve | OddHyperellipticCurve

@@ -3,22 +3,22 @@
 The central criterion: if two curves over F_q have the same number of
 points over F_{q^m} for every m not divisible by some k >= 2, and the k-th
 powers of the reciprocal roots of L_C are pairwise distinct, then L_C
-divides L_D and the quotient is a polynomial in t^k.  The verifiers here
-check the hypotheses (count equality up to a stated horizon; squarefreeness
-of the base-extended L_C, which is exactly the root-distinctness
-condition), check the conclusion by exact division and coefficient
-support, and also check the underlying polynomial identity
+divides L_D and the quotient is a polynomial in t^k.  ``check_main_theorem``
+takes two L-polynomials (a curve enters through ``zeta.curve_lpoly``, which
+cross-checks every count up to the horizon against the polynomial, so the
+implied counts are the curve's own).  It checks the hypotheses (count
+equality, read from the counts the polynomials imply; squarefreeness of the
+base-extended L_C, which is exactly the root-distinctness condition) and
+the conclusion by exact division and coefficient support.
 
-    L_C(t)^k * L_D^(k)(t^k) == L_D(t)^k * L_C^(k)(t^k)
-
-and its converse (equal counts away from multiples of k whenever L_D =
-q(t^k) L_C).  ``check_main_theorem`` takes two L-polynomials and reads
-hypothesis 1 from the counts they imply.  A curve enters through
-``zeta.curve_lpoly``, which cross-checks every count up to the horizon
-against the polynomial, so the implied counts are the curve's own.  A
-verdict of "TheoremApplies&ViolationFound" is impossible for genuine curve
-data; it indicates an implementation bug, and the test suite treats it as
-one.
+Count equality is reported for m up to a stated horizon, but it is decided
+for every m before a violation is declared: on each residue class m = r +
+kj with k not dividing r, the difference of the implied counts is a linear
+recurrence in j of order at most deg L_C + deg L_D, so equality for m <
+k (deg L_C + deg L_D) gives equality for every m.  A verdict of
+"TheoremApplies&ViolationFound" is therefore impossible for genuine
+L-polynomials; it indicates an implementation bug, and the test suite
+treats it as one.
 
 Conjecture harnesses cover the curve family y^2 + y = x^(2^k+1) + x^(-1)
 over GF(2): divisibility of L-polynomials by the k=1 member, structured
@@ -40,7 +40,6 @@ from .intpoly import (
     divides_with_quotient,
     format_poly,
     gcd_primitive,
-    power_sums_from_poly,
     squarefree_over_Q,
 )
 from .zeta import (
@@ -67,8 +66,12 @@ class Verdict(str, Enum):
 class DivisibilityReport:
     """Full record of one divisibility check.
 
-    Hypothesis 1 is an infinite condition; ``hyp1_equal`` certifies it only
-    for m <= horizon (the verdict language reflects that)."""
+    Hypothesis 1 is an infinite condition.  ``hyp1_equal`` lists the count
+    comparisons for m <= horizon; a VIOLATION verdict is only reached once
+    the comparison, carried to m = k (deg L_C + deg L_D) - 1, holds for
+    every m.  When that longer comparison fails, the verdict is
+    HypothesisFails and ``hyp1_first_fail`` is the m it failed at, which
+    may lie beyond the horizon."""
 
     k: int
     horizon: int
@@ -123,27 +126,25 @@ def check_main_theorem(
     lc: LPolynomial, ld: LPolynomial, k: int, horizon: int
 ) -> DivisibilityReport:
     """Run the divisibility criterion on two L-polynomials (``curve_lpoly``
-    gives them for curves); hypothesis 1 is evaluated on the counts they
-    imply for m <= horizon.
+    gives them for curves); hypothesis 1 is read from the counts they
+    imply, reported for m <= horizon and decided for every m before a
+    violation is declared.
 
     Requires k >= 2: with k = 1 the count hypothesis is vacuous and the
     criterion asserts nothing.
     """
     check_criterion_inputs(lc.q, ld.q, k, horizon)
-    counts_c = counts_from_lpoly(lc, horizon).counts
-    counts_d = counts_from_lpoly(ld, horizon).counts
-    rows = []
-    first_fail = None
-    for m in range(1, horizon + 1):
-        if m % k == 0:
-            continue
-        eq = counts_c[m - 1] == counts_d[m - 1]
-        rows.append((m, eq))
-        if not eq and first_fail is None:
-            first_fail = m
+    rows = _compare_counts(lc, ld, (m for m in range(1, horizon + 1) if m % k))
+    first_fail = next((m for m, eq in rows if not eq), None)
     hyp2 = squarefree_over_Q(extension_lpoly(lc, k).poly)
     div, quot = divides_with_quotient(lc.poly, ld.poly)
     q_in_tk = bool(div and quot is not None and quot.deflate(k) is not None)
+    if first_fail is None and hyp2 and not (div and q_in_tk):
+        # decide hypothesis 1 for every m before calling this a violation:
+        # each class m = r (mod k) is a recurrence of order <= deg L_C + deg L_D
+        reach = max(horizon, k * (lc.poly.degree + ld.poly.degree) - 1)
+        every_m = _compare_counts(lc, ld, (m for m in range(1, reach + 1) if m % k))
+        first_fail = next((m for m, eq in every_m if not eq), None)
     if first_fail is None and hyp2:
         verdict = Verdict.HOLDS if (div and q_in_tk) else Verdict.VIOLATION
     else:
@@ -154,7 +155,7 @@ def check_main_theorem(
         q=lc.q,
         lc=lc,
         ld=ld,
-        hyp1_equal=tuple(rows),
+        hyp1_equal=rows,
         hyp1_first_fail=first_fail,
         hyp2_squarefree=hyp2,
         divides=div,
@@ -164,34 +165,14 @@ def check_main_theorem(
     )
 
 
-def master_identity_check(lc: LPolynomial, ld: LPolynomial, k: int) -> bool:
-    """Exact polynomial identity L_C^k * L_D^(k)(t^k) == L_D^k * L_C^(k)(t^k),
-    equivalent to count equality away from multiples of k."""
-    if lc.q != ld.q:
-        raise ValueError("L-polynomials must share the base field size")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    lhs = (lc.poly**k) * extension_lpoly(ld, k).poly.inflate(k)
-    rhs = (ld.poly**k) * extension_lpoly(lc, k).poly.inflate(k)
-    return lhs == rhs
-
-
-def converse_counts_check(
-    lc: LPolynomial, qpoly: IntPoly, k: int, horizon: int
-) -> bool:
-    """With L_D := qpoly(t^k) * L_C, verify that the implied counts agree
-    with those of L_C for every m <= horizon not divisible by k.  This must
-    always return True for well-formed inputs; False indicates a bug."""
-    if k < 2:
-        raise ValueError("the converse needs k >= 2")
-    if not qpoly or qpoly[0] != 1:
-        raise ValueError("quotient polynomial must have constant term 1")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    ld_poly = qpoly.inflate(k) * lc.poly
-    s_c = lc.power_sums(horizon)
-    s_d = power_sums_from_poly(ld_poly, horizon) if ld_poly.degree > 0 else [0] * horizon
-    return all(s_c[m - 1] == s_d[m - 1] for m in range(1, horizon + 1) if m % k)
+def _compare_counts(lc: LPolynomial, ld: LPolynomial, ms) -> tuple[tuple[int, bool], ...]:
+    """(m, N_m(C) == N_m(D)) for each m of ``ms``, on the counts the two
+    L-polynomials imply."""
+    ms = tuple(ms)
+    r = max(ms)
+    counts_c = counts_from_lpoly(lc, r).counts
+    counts_d = counts_from_lpoly(ld, r).counts
+    return tuple((m, counts_c[m - 1] == counts_d[m - 1]) for m in ms)
 
 
 # -- quotient structure ----------------------------------------------------
@@ -496,13 +477,7 @@ def counterexample_f3() -> CounterexampleReport:
     m <= 25 coprime to 6, a count difference at m = 2, non-divisibility,
     and squarefreeness of every base extension of L_C up to n = 12."""
     lc, ld = F3_LC, F3_LD
-    s_c = lc.power_sums(_F3_HORIZON)
-    s_d = ld.power_sums(_F3_HORIZON)
-    counts_equal = all(
-        s_c[m - 1] == s_d[m - 1]
-        for m in range(1, _F3_HORIZON + 1)
-        if int_gcd(m, 6) == 1
-    )
+    equal = dict(_compare_counts(lc, ld, range(1, _F3_HORIZON + 1)))
     div, _ = divides_with_quotient(lc.poly, ld.poly)
     squarefree_ext = all(
         squarefree_over_Q(extension_lpoly(lc, n).poly)
@@ -513,9 +488,9 @@ def counterexample_f3() -> CounterexampleReport:
         ld=ld,
         horizon=_F3_HORIZON,
         valid_lpolys=validate_lpoly(lc).ok and validate_lpoly(ld).ok,
-        counts_equal_coprime_to_6=counts_equal,
-        counts_differ_at_m2=s_c[1] != s_d[1],
-        s2_values=(s_c[1], s_d[1]),
+        counts_equal_coprime_to_6=all(eq for m, eq in equal.items() if int_gcd(m, 6) == 1),
+        counts_differ_at_m2=not equal[2],
+        s2_values=(lc.power_sums(2)[1], ld.power_sums(2)[1]),
         not_divisible=not div,
         extensions_squarefree=squarefree_ext,
         curve_equations_metadata=dict(F3_CURVE_METADATA),

@@ -74,7 +74,6 @@ _STARTS = 1 << 12  # block starts of the packed kernel computed at once
 _BATCH = 1 << 10  # blocks of the packed kernel gathered at once
 LOG_TABLE_MAX = 1 << 20
 POWER_TABLE_MAX = 1 << 30
-THREADS_ENV_VAR = "LPDIV_THREADS"
 
 
 class NoPrime(ValueError):
@@ -90,9 +89,6 @@ def resolve_threads(threads: int | None) -> int:
         if threads < 1:
             raise ValueError("threads must be >= 1")
         return threads
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        return max(1, int(env))
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import LPolynomial
@@ -306,6 +307,49 @@ def fraction_divides(d: IntPoly, n: IntPoly):
     if any(num) or any(q.denominator != 1 for q in quot):
         return False, None
     return True, IntPoly(int(q) for q in quot)
+
+
+# -- the count identity for every m ------------------------------------------
+
+
+def norm_to_tk(f: IntPoly, k: int) -> IntPoly:
+    """The product of f(z t) over the k-th roots of unity z, as a polynomial
+    in u = t^k: the determinant of multiplication by f on Z[t], a free
+    Z[u]-module with basis 1, t, .., t^(k-1), expanded by permutations.  For
+    an L-polynomial this is the L-polynomial of the degree-k extension, got
+    without power sums or Newton steps."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    parts = [IntPoly(f.coeffs[r::k]) for r in range(k)]  # f = sum_r t^r parts[r](t^k)
+    u = IntPoly([0, 1])
+    # column c is t^c f: the t^(r + c) parts[r] term lands in row (r + c) mod k,
+    # times u when r + c wraps past k - 1
+    matrix = [[IntPoly() for _ in range(k)] for _ in range(k)]
+    for c in range(k):
+        for r in range(k):
+            wrap, row = divmod(r + c, k)
+            matrix[row][c] = parts[r] * u if wrap else parts[r]
+    det = IntPoly()
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        term = IntPoly([(-1) ** inversions])
+        for c, row in enumerate(perm):
+            term = term * matrix[row][c]
+        det = det + term
+    return det
+
+
+def master_identity_check(lc: LPolynomial, ld: LPolynomial, k: int) -> bool:
+    """The polynomial identity L_C^k * L_D^(k)(t^k) == L_D^k * L_C^(k)(t^k),
+    with L^(k) the L-polynomial of the degree-k extension.  Taking
+    logarithms shows it holds exactly when the counts agree for every m not
+    divisible by k, so it decides hypothesis 1 of the divisibility
+    criterion for all m at once."""
+    if lc.q != ld.q:
+        raise ValueError("L-polynomials must share the base field size")
+    lhs = lc.poly**k * norm_to_tk(ld.poly, k).inflate(k)
+    rhs = ld.poly**k * norm_to_tk(lc.poly, k).inflate(k)
+    return lhs == rhs
 
 
 # -- synthetic Weil polynomials ----------------------------------------------

@@ -58,6 +58,20 @@ class TestCommands:
         assert obj["verdict"] == "HypothesisFails"
         assert obj["hyp1_first_fail"] == 2
 
+    @pytest.mark.parametrize("pair", [("f3_lc.json", "f3_ld.json"), ("f3_lc_curve.json", "f3_ld_curve.json")],
+                             ids=["lpolys", "curves"])
+    def test_check_div_short_horizon_is_no_violation(self, capsys, pair):
+        # counts agree at m = 1 and differ at m = 2: the rows stop at the
+        # horizon, but hypothesis 1 is decided for every m before a verdict
+        lc, ld = (str(SAMPLES / name) for name in pair)
+        code, out, err = run_cli(capsys, "check-div", "--lc", lc, "--ld", ld, "--k", "6", "--horizon", "1")
+        assert (code, err) == (0, "")
+        obj = json.loads(out)
+        assert obj["verdict"] == "HypothesisFails"
+        assert obj["hyp1_first_fail"] == 2
+        assert obj["hyp1_counts_equal"] == [[1, True]]
+        assert obj["horizon"] == obj["hyp1_certified_up_to"] == 1
+
     @pytest.mark.parametrize("fmt", ["json", "table"])
     @pytest.mark.parametrize("horizon", [(), ("--horizon", "12")], ids=["default", "12"])
     def test_check_div_on_curves_equals_lpolynomials(self, capsys, fmt, horizon):
@@ -200,6 +214,21 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("lc,ld,failure", [
+        ({"q": 2, "g": 0, "coeffs": ["1", "1"]}, {"q": 2, "g": 0, "coeffs": ["1"]}, "degree 1 != 2g = 0"),
+        ({"q": 3, "g": 1, "coeffs": ["2", "1", "6"]}, {"q": 3, "g": 1, "coeffs": ["2", "1", "6"]},
+         "constant term is not 1"),
+    ], ids=["degree", "constant-term"])
+    def test_check_div_refuses_a_malformed_lpolynomial(self, capsys, tmp_path, lc, ld, failure):
+        # neither a "violation" (exit 2) nor an error from deep in the algebra
+        paths = []
+        for name, obj in (("lc.json", lc), ("ld.json", ld)):
+            paths.append(tmp_path / name)
+            paths[-1].write_text(json.dumps(obj))
+        code, out, err = run_cli(capsys, "check-div", "--lc", str(paths[0]), "--ld", str(paths[1]), "--k", "2")
+        assert (code, out) == (1, "")
+        assert err == f"error: {paths[0]} is not an L-polynomial: {failure}\n"
+
     def test_invalid_curve_model(self, capsys, tmp_path):
         bad = tmp_path / "curve.json"
         bad.write_text(json.dumps({"model": "as2", "f_num": [1], "f_den": [0, 0, 1]}))
@@ -338,17 +367,9 @@ class TestExitCodeTwo:
 
 
 class TestThreadResolution:
-    def test_env_override(self, monkeypatch):
-        from lpdiv.finite_fields import THREADS_ENV_VAR, resolve_threads
-
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert resolve_threads(None) == 3
-        assert resolve_threads(7) == 7  # explicit argument wins
-
-    def test_default_is_affinity_count(self, monkeypatch):
+    def test_default_is_affinity_count(self):
         # the CPUs this process may run on, which under taskset or a cgroup
         # cpuset can be fewer than os.cpu_count()
-        from lpdiv.finite_fields import THREADS_ENV_VAR, resolve_threads
+        from lpdiv.finite_fields import resolve_threads
 
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         assert resolve_threads(None) == len(os.sched_getaffinity(0))

@@ -50,8 +50,12 @@ class TestModels:
             OddHyperellipticCurve(2, (1,), (0, 0, 0, 1))
 
     def test_json_roundtrip(self):
-        for c in (dk_curve(2), X3_CURVE, HYPER3):
-            assert curve_from_json_dict(c.to_json_dict()) == c
+        for obj, c in (
+            ({"model": "as2", "f_num": [1, 0, 0, 0, 0, 0, 1], "f_den": [0, 1]}, dk_curve(2)),
+            ({"model": "as2", "f_num": [0, 0, 0, 1], "f_den": [1]}, X3_CURVE),
+            ({"model": "hyper_odd", "p": 3, "h": [], "f": [1, 2, 0, 1]}, HYPER3),
+        ):
+            assert curve_from_json_dict(obj) == c
 
     def test_unknown_model(self):
         with pytest.raises(ValueError):

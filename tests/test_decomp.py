@@ -13,17 +13,22 @@ from lpdiv.decomp import (
     SplitResult,
     Verdict,
     check_main_theorem,
-    converse_counts_check,
     counterexample_f3,
     dk_report_from_counts,
     gsum_invariance_scan,
-    master_identity_check,
     split_two_prime,
     verify_conjecture_dk,
 )
 from lpdiv.finite_fields import TooLarge
 from lpdiv.intpoly import IntPoly
-from lpdiv.zeta import LPolynomial, counts_from_lpoly, curve_lpoly, lpoly_from_counts
+from lpdiv.zeta import (
+    LPolynomial,
+    counts_from_lpoly,
+    curve_lpoly,
+    extension_lpoly,
+    lpoly_from_counts,
+    validate_lpoly,
+)
 
 import oracles
 
@@ -106,14 +111,14 @@ class TestCheckMainTheorem:
 class TestMasterIdentity:
     def test_symmetric(self):
         for k in (1, 2, 3):
-            assert master_identity_check(L_D1, L_D1, k)
+            assert oracles.master_identity_check(L_D1, L_D1, k)
 
     def test_d1_d2(self):
         ld2 = verify_conjecture_dk(2).lpoly
-        assert master_identity_check(L_D1, ld2, 2)
+        assert oracles.master_identity_check(L_D1, ld2, 2)
 
     def test_unequal_counts_fail(self):
-        assert not master_identity_check(L_D1, L_X3, 2)
+        assert not oracles.master_identity_check(L_D1, L_X3, 2)
 
     def test_equivalence_with_count_equality(self):
         # built pairs with counts equal away from multiples of k satisfy the
@@ -125,24 +130,40 @@ class TestMasterIdentity:
             lc = oracles.make_weil_lpoly(rng, q, 2)
             qpoly = oracles.make_weil_lpoly(rng, q**k, 1).poly
             ld = LPolynomial(q=q, g=lc.g + k, poly=qpoly.inflate(k) * lc.poly)
-            assert master_identity_check(lc, ld, k)
+            assert oracles.master_identity_check(lc, ld, k)
+
+    def test_norm_is_the_extension_lpolynomial(self):
+        # the oracle's determinant and the library's power-sum route agree
+        rng = random.Random(19)
+        for _ in range(100):
+            lp = oracles.make_weil_lpoly(rng, rng.choice([2, 3, 4, 5]), rng.randint(0, 5))
+            n = rng.randint(1, 6)
+            assert oracles.norm_to_tk(lp.poly, n) == extension_lpoly(lp, n).poly
+
+
+def converse_holds(lc: LPolynomial, qpoly: IntPoly, k: int, horizon: int) -> bool:
+    """Hypothesis 1 of the criterion for L_C against Q(t^k) L_C, which the
+    converse says always holds."""
+    ld = LPolynomial(q=lc.q, g=lc.g + k * qpoly.degree // 2, poly=qpoly.inflate(k) * lc.poly)
+    return check_main_theorem(lc, ld, k, horizon).hyp1_ok
 
 
 class TestConverse:
     def test_d2_construction(self):
-        assert converse_counts_check(L_D1, IntPoly([1, 2]), 2, 9)
+        assert converse_holds(L_D1, IntPoly([1, 2]), 2, 9)
         ld2 = verify_conjecture_dk(2).lpoly
         assert IntPoly([1, 2]).inflate(2) * L_D1.poly == ld2.poly
 
     def test_unit_quotient(self):
-        assert converse_counts_check(L_D1, IntPoly([1]), 2, 10)
+        assert converse_holds(L_D1, IntPoly([1]), 2, 10)
 
     def test_k3_horizon8(self):
-        assert converse_counts_check(L_D1, IntPoly([1, 2]), 3, 8)
+        assert converse_holds(L_D1, IntPoly([1, 2]), 3, 8)
 
     def test_constant_term_required(self):
-        with pytest.raises(ValueError):
-            converse_counts_check(L_D1, IntPoly([2, 1]), 2, 5)
+        # Q(0) = 2 gives no L-polynomial; check-div refuses such a file
+        ld = LPolynomial(q=2, g=3, poly=IntPoly([2, 1]).inflate(2) * L_D1.poly)
+        assert "constant term is not 1" in validate_lpoly(ld).failures
 
     def test_synthetic_always_true(self):
         rng = random.Random(23)
@@ -151,7 +172,7 @@ class TestConverse:
             lc = oracles.make_weil_lpoly(rng, q, rng.randint(1, 4))
             qpoly = oracles.make_weil_lpoly(rng, q, rng.randint(0, 2)).poly
             k = rng.choice([2, 3, 5])
-            assert converse_counts_check(lc, qpoly, k, 15)
+            assert converse_holds(lc, qpoly, k, 15)
 
 
 class TestVerifyConjectureDk:
@@ -339,3 +360,32 @@ class TestTheoremOracles:
             assert rep.verdict is not Verdict.VIOLATION
             holds += rep.verdict is Verdict.HOLDS
         assert holds >= 10  # the criterion must actually fire, not just abstain
+
+    def test_every_m_decided_as_the_identity_decides_it(self):
+        # Comparing counts up to m = k (deg L_C + deg L_D) - 1 decides
+        # hypothesis 1 for every m: it fails exactly when the identity does.
+        # At short horizons the verdict is then HOLDS exactly when the
+        # identity holds (given hypothesis 2), and never a violation.
+        rng = random.Random(43)
+        found = {True: 0, False: 0}
+        for _ in range(500):
+            q = rng.choice([2, 3, 4, 5])
+            k = rng.choice([2, 3, 4, 5])
+            lc = oracles.make_weil_lpoly(rng, q, rng.randint(1, 3))
+            if rng.random() < 0.5:
+                qpoly = oracles.make_weil_lpoly(rng, q**k, rng.randint(0, 1))
+                ld = LPolynomial(q=q, g=lc.g + k * qpoly.g, poly=qpoly.poly.inflate(k) * lc.poly)
+            else:
+                ld = oracles.make_weil_lpoly(rng, q, rng.randint(1, 3))
+            identity = oracles.master_identity_check(lc, ld, k)
+            reach = k * (lc.poly.degree + ld.poly.degree) - 1
+            assert check_main_theorem(lc, ld, k, reach).hyp1_ok is identity
+            for horizon in (1, 2, 3):
+                rep = check_main_theorem(lc, ld, k, horizon)
+                assert rep.verdict is not Verdict.VIOLATION, (k, lc, ld, horizon)
+                if rep.hyp2_squarefree:
+                    assert (rep.verdict is Verdict.HOLDS) is identity
+                if rep.hyp1_first_fail is not None:
+                    assert rep.hyp1_first_fail <= reach and rep.hyp1_first_fail % k
+            found[identity] += 1
+        assert min(found.values()) >= 150  # both outcomes well represented

@@ -452,7 +452,6 @@ class TestCharSum:
             char_sum(make_field(3, 2), RationalMap(3, (0, 1)))
 
     def test_threads_default_to_cpu_affinity(self, monkeypatch):
-        monkeypatch.delenv(finite_fields.THREADS_ENV_VAR, raising=False)
         monkeypatch.setattr(finite_fields.os, "cpu_count", lambda: 64)
         monkeypatch.setattr(finite_fields.os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert resolve_threads(None) == 2
