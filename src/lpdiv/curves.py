@@ -170,7 +170,7 @@ def count_points(c: CurveModel, m: int, *, threads: int | None = None) -> int:
     """#C(F_{q^m}) on the smooth projective model, exactly.  m above the
     enumeration bound ``DEFAULT_MAX_M`` = 34 raises TooLarge (no field of
     that degree can be built), and so do odd-p fields beyond the walk's
-    float64 range or of order above ``POWER_TABLE_MAX`` = 2^30."""
+    int64 range or of order above ``POWER_TABLE_MAX`` = 2^30."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
     if isinstance(c, ArtinSchreierCurve):
@@ -192,8 +192,8 @@ def _infinity_points_as2(f: RationalMap, m: int) -> int:
 def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
     rhs = c.squared_rhs()
     order = c.p**m
-    if max(order, len(rhs) * m * c.p**2) >= 1 << 53:
-        raise TooLarge(f"GF({c.p}^{m}) exceeds the exact float64 range of the counting walk")
+    if len(rhs) * m * c.p**2 >= 1 << 63:  # a bound on the walk's digit sums
+        raise TooLarge(f"GF({c.p}^{m}) exceeds the exact int64 range of the counting walk")
     if order > POWER_TABLE_MAX:  # the squares bitmap takes one byte per element
         raise TooLarge(f"GF({c.p}^{m}) exceeds the order cap {POWER_TABLE_MAX} of the counting walk")
     field = make_field(c.p, m)
@@ -217,20 +217,21 @@ def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.
 
     For i = s + j the digits of c*x^e are those of g^(e*j), rows gathered
     from powers, times the digit matrix of y -> c*g^(e*s)*y (advanced by
-    that of g^(e*length) per chunk), so a chunk is one float64 matmul over
-    all terms: exact while p^m and (deg + 1) * m * p^2 stay below 2^53."""
+    that of g^(e*length) per chunk), so a chunk is one int64 matmul over
+    all terms (numpy's own loop, not a BLAS with threads of its own): exact
+    while (deg + 1) * m * p^2 stays below 2^63."""
     p, m = field.p, field.m
     terms = [(e, coef) for e, coef in enumerate(poly) if e and coef]
-    rows = np.empty((length, len(terms) * m))
+    rows = np.empty((length, len(terms) * m), dtype=np.int64)
     for k, (e, _) in enumerate(terms):
         rows[:, k * m : (k + 1) * m] = field.bulk_decode(powers[: e * length : e])
     mats = field.mul_matrices(field.bulk_decode(np.array([coef for _, coef in terms])))
     jumps = field.mul_matrices(field.bulk_decode(powers[[e * length for e, _ in terms]]))
-    scale = p ** np.arange(m, dtype=np.float64)
+    scale = p ** np.arange(m, dtype=np.int64)
     for s in range(0, count, length):
         digits = rows[: count - s] @ mats.reshape(-1, m)
         digits[:, 0] += poly[0]
-        yield ((digits % p) @ scale).astype(np.int64)
+        yield (digits % p) @ scale
         mats = mats @ jumps % p
 
 
@@ -240,7 +241,7 @@ def count_series(c: CurveModel, r: int, *, threads: int | None = None) -> PointC
 
     Counted from m = r down to 1.  Every bound caps m from above (the field
     constructor's m <= 34, ``char_sum``'s table bound, the odd-p walk's
-    float64 and order caps), so a series past one is refused by its first
+    int64 and order caps), so a series past one is refused by its first
     count, whose error names m = r."""
     q = base_field_size(c)
     g = genus(c)

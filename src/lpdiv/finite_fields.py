@@ -44,20 +44,31 @@ realizations:
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
   M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
-  g and one pass over exps (``power_tables``).  The group is then walked in
-  chunks of ``_TABLE_CHUNK`` indices: at x = g^i each term x^e is
+  g and one pass over exps (``power_tables``).  The map has coefficients
+  in GF(2), so f(x^2) = f(x)^2 and Tr(y^2) = Tr(y): the sign at x = g^i is
+  constant on each orbit i -> 2i mod n = 2^m - 1, which rotates the m bits
+  of i.  Only the orbit representatives R = [2^(m-1), 2^(m-1) + 2^(m-2)),
+  the indices with top bits 10 (``_orbit_range``), are walked, a quarter
+  of the group, in chunks of ``_TABLE_CHUNK`` indices; i = 0 (x = 1) and
+  x = 0 are summed on their own.  An orbit of size p meets R in c*p/m
+  indices, c its number of cyclic 10 pairs (``_cyclic_pairs``), so each
+  index of R has weight m/c: the signs are summed per c (``np.bincount``)
+  and m * sum of S_c / c is formed exactly, a non-integral total raising
+  RuntimeError as a counting bug.  At x = g^i each term x^e is
   exps[e*i mod n], an arithmetic progression of indices over a chunk, read
   as strided slices of exps between wrap-arounds (``_xor_progression``);
   N(x) and D(x) are XORs of such terms, and Tr(N/D) is
-  parity(N & duals[D]), one gather per element.  The tables are built per
-  call and not kept on the (cached, shared) field.  Beyond that bound such
-  maps raise ``TooLarge``.
+  parity(N & duals[D]), one gather per element.  The tables still cover
+  the whole field, since e*i mod n and D(x) reach all of it.  They are
+  built per call and not kept on the (cached, shared) field; building them
+  is most of a count.  Beyond that bound such maps raise ``TooLarge``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -443,10 +454,27 @@ def _xor_progression(out: np.ndarray, table: np.ndarray, start: int, step: int) 
         start += len(run) * step - len(table)
 
 
+def _orbit_range(m: int) -> tuple[int, int]:
+    """R = [2^(m-1), 2^(m-1) + 2^(m-2)): the indices whose top two of m
+    bits are 10 (none for m = 1).  i -> 2i mod 2^m - 1 rotates the m bits
+    of i, so every orbit but {0} meets R, in exactly c*p/m indices, p the
+    orbit's size and c its number of cyclic 10 pairs (``_cyclic_pairs``):
+    of the m rotations of i, one per pair brings it to the top, and each
+    index of the orbit is m/p of them."""
+    lo = 1 << (m - 1)
+    return lo, lo + (lo >> 1)
+
+
+def _cyclic_pairs(i: np.ndarray, m: int) -> np.ndarray:
+    """c(i), the cyclic 10 pairs (bit j set, bit j-1 clear) of each m-bit
+    index i in ``_orbit_range(m)``.  Bit m-1 is set there, so the wrapped
+    pair (bit 0 set, bit m-1 clear) never occurs, and bit 0 is masked out."""
+    return np.bitwise_count(i & ~(i << 1) & ((1 << m) - 2))
+
+
 def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
-    n = field.order - 1
+    m, n = field.m, field.order - 1
     exps, duals = field.power_tables()
-    chunk = min(_TABLE_CHUNK, n)
     num_terms = [e % n for e, c in enumerate(f.num) if c]
     den_terms = [e % n for e, c in enumerate(f.den) if c]
 
@@ -457,16 +485,30 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
             _xor_progression(vals, exps, e * lo % n, e)
         return vals
 
-    total = _zero_point_term(field, f)
-    for lo in range(0, n, chunk):
-        k = min(chunk, n - lo)
-        num_vals = eval_terms(num_terms, lo, k)
+    def signs(lo, k):
+        # (-1)^Tr(f(x)) at x = g^(lo + j), 0 at the poles: Tr(N/D) =
+        # parity(N & M(1/D)), and D = 0 reads duals[0] = 0
         den_vals = eval_terms(den_terms, lo, k)
-        # Tr(N/D) = parity(N & M(1/D)); N = 0 gives 0, and so does D = 0
-        # through duals[0] = 0, where count_nonzero(D) leaves the pole out
-        odd = np.bitwise_count(num_vals & np.take(duals, den_vals)) & np.uint8(1)
-        total += int(np.count_nonzero(den_vals)) - 2 * int(np.count_nonzero(odd))
-    return total
+        odd = np.bitwise_count(eval_terms(num_terms, lo, k) & np.take(duals, den_vals)) & np.uint8(1)
+        return (den_vals != 0).astype(np.int8) - 2 * odd.astype(np.int8)
+
+    total = _zero_point_term(field, f) + int(signs(0, 1)[0])  # x = 0 and x = 1 = g^0
+    # f(x^2) = f(x)^2 and Tr(y^2) = Tr(y), so the sign is constant on each
+    # orbit i -> 2i mod n, and the orbit's sum is the sum over its indices
+    # in R with weights m/c(i)
+    lo_r, hi_r = _orbit_range(m)
+    by_pairs = np.zeros(m + 1, dtype=np.int64)  # sign sums over R by c(i)
+    for lo in range(lo_r, hi_r, _TABLE_CHUNK):
+        k = min(_TABLE_CHUNK, hi_r - lo)
+        pairs = _cyclic_pairs(np.arange(lo, lo + k, dtype=np.int64), m)
+        by_pairs += np.bincount(pairs, weights=signs(lo, k), minlength=m + 1).astype(np.int64)
+    orbit_sum = m * sum(Fraction(int(s), c) for c, s in enumerate(by_pairs) if s)
+    if orbit_sum.denominator != 1:
+        raise RuntimeError(
+            f"orbit sum {orbit_sum} over GF(2^{m}) is not an integer; "
+            "this indicates a counting bug"
+        )
+    return total + int(orbit_sum)
 
 
 def _block_length(m: int) -> int:

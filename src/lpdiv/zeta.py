@@ -47,8 +47,6 @@ class LPolynomial:
     poly: IntPoly
 
     def power_sums(self, r: int) -> list[int]:
-        if self.g == 0:
-            return [0] * r
         return power_sums_from_poly(self.poly, r)
 
     def to_json_dict(self) -> dict:

@@ -176,8 +176,8 @@ class TestCountPoints:
 
     def test_general_denominator_matches_lpoly_prediction(self):
         # N_1..N_4 of the genus-4 sample from the brute-force oracle fix its
-        # L-polynomial, whose power sums predict N_13..N_20: sizes the
-        # oracle cannot reach, counted by the table kernel.
+        # L-polynomial, whose power sums predict N_13..N_22: sizes the
+        # oracle cannot reach, counted by the table kernel up to its bound.
         samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
         c = curve_from_json_dict(json.loads((samples / "general4.json").read_text()))
         assert c.f.laurent_exponents() is None and genus(c) == 4
@@ -185,8 +185,8 @@ class TestCountPoints:
         assert first == [3, 9, 12, 25]
         lp = lpoly_from_counts(2, 4, first)
         assert lp.poly.coeffs == (1, 0, 2, 1, 4, 2, 8, 0, 16)
-        want = counts_from_lpoly(lp, 20).counts[12:]
-        assert [count_points(c, m) for m in range(13, 21)] == list(want)
+        want = counts_from_lpoly(lp, 22).counts[12:]
+        assert [count_points(c, m) for m in range(13, 23)] == list(want)
 
     def test_gsum_relation(self):
         # N_m = 2^m + 1 + G_m for the family (two ramified places)
@@ -358,11 +358,18 @@ class TestOddKernel:
             tracemalloc.stop()
         assert peak <= 16 * 2**20
 
-    def test_beyond_the_exact_float64_range_is_refused(self):
-        # 4 * 1 * p^2 >= 2^53: a chunk's digit sums could round in float64
-        with pytest.raises(TooLarge, match="exact float64 range"):
-            count_points(OddHyperellipticCurve(67108879, (), (1, 1, 0, 1)), 1)
-        with pytest.raises(TooLarge, match="exact float64 range"):  # 3^34 >= 2^53
+    def test_beyond_the_exact_int64_range_is_refused(self, monkeypatch):
+        # 9 * 1 * p^2 >= 2^63 for the prime p = 2^30 - 35 and deg f = 8: a
+        # chunk's digit sums could overflow int64.  At deg f = 7 the bound
+        # 8 * p^2 stays below 2^63, so only m = 1 with p near 2^30 meets it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a field beyond the int64 range")
+
+        monkeypatch.setattr(curves, "make_field", refuse)
+        big = OddHyperellipticCurve(2**30 - 35, (), (1, 1) + (0,) * 6 + (1,))
+        with pytest.raises(TooLarge, match=r"^GF\(1073741789\^1\) exceeds the exact int64 range"):
+            count_points(big, 1)
+        with pytest.raises(TooLarge, match="order cap"):  # 3^34 > 2^30
             count_points(HYPER3, 34)
 
     def test_order_beyond_the_cap_is_refused_before_a_field_build(self, monkeypatch):

@@ -77,6 +77,14 @@ class TestCheckMainTheorem:
         assert rep.lc == LPolynomial.from_json_dict(json.loads((SAMPLES / "f3_lc.json").read_text()))
         assert rep.ld == LPolynomial.from_json_dict(json.loads((SAMPLES / "f3_ld.json").read_text()))
 
+    def test_power_sums_read_the_polynomial_not_its_genus(self):
+        # 1 + t claims genus 0, but implies N_1 = 4 against N_1 = 3 for 1
+        lc, ld = LPolynomial(2, 0, IntPoly([1, 1])), LPolynomial(2, 0, IntPoly([1]))
+        assert lc.power_sums(3) == [-1, 1, -1]
+        rep = check_main_theorem(lc, ld, 2, 1)
+        assert rep.verdict is Verdict.HYPOTHESIS_FAILS
+        assert rep.hyp1_first_fail == 1
+
     def test_hyp1_table_skips_multiples_of_k(self):
         rep = check_main_theorem(L_D1, L_D1, 3, 9)
         assert [m for m, _ in rep.hyp1_equal] == [1, 2, 4, 5, 7, 8]

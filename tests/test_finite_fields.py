@@ -1,6 +1,7 @@
 import concurrent.futures
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -486,13 +487,53 @@ class TestTableKernel:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_kernel_equals_naive_exhaustive(self, m, monkeypatch):
-        # Again with chunks of 97 indices, which divides neither n nor the
-        # table walk, so both end mid-chunk.
+        # Again with chunks of 3 and 97 indices, which divide neither n nor
+        # the 2^(m-2) orbit representatives, so both walks end mid-chunk.
         field = make_field(2, m)
         want = [oracles.naive_char_sum(m, f) for f in TABLE_MAPS]
         assert [char_sum(field, f) for f in TABLE_MAPS] == want
-        monkeypatch.setattr(finite_fields, "_TABLE_CHUNK", 97)
-        assert [char_sum(field, f) for f in TABLE_MAPS] == want
+        for chunk in (3, 97):
+            monkeypatch.setattr(finite_fields, "_TABLE_CHUNK", chunk)
+            assert [char_sum(field, f) for f in TABLE_MAPS] == want
+
+    @pytest.mark.parametrize("m", range(1, 23))
+    def test_orbit_weights_are_exact(self, m):
+        # every nonzero index i < n = 2^m - 1 is counted once: the weights
+        # m/c(i) over the representatives add up to n - 1
+        lo, hi = finite_fields._orbit_range(m)
+        pairs = finite_fields._cyclic_pairs(np.arange(lo, hi, dtype=np.int64), m)
+        by_pairs = np.bincount(pairs, minlength=1)
+        assert by_pairs[0] == 0
+        assert m * sum(Fraction(int(k), c) for c, k in enumerate(by_pairs) if k) == 2**m - 2
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_orbit_weights_per_orbit(self, m):
+        # Orbits of i -> 2i mod n by brute force, and c(i) from the bit
+        # string: each orbit's weights over its indices in R add up to its
+        # size, and R holds exactly the indices whose top bits are 10.
+        n = 2**m - 1
+        lo, hi = finite_fields._orbit_range(m)
+        assert list(range(lo, hi)) == [i for i in range(n) if i >> (m - 2) == 0b10]
+        pairs = finite_fields._cyclic_pairs(np.arange(lo, hi, dtype=np.int64), m)
+        seen = set()
+        for i in range(1, n):
+            if i in seen:
+                continue
+            orbit = {i * 2**r % n for r in range(m)}
+            seen |= orbit
+            weight = 0
+            for j in (j for j in orbit if lo <= j < hi):
+                bits = format(j, f"0{m}b")
+                c = sum(bits[t] == "1" and bits[(t + 1) % m] == "0" for t in range(m))
+                assert pairs[j - lo] == c
+                weight += Fraction(m, c)
+            assert weight == len(orbit)
+
+    def test_non_integral_orbit_sum_is_a_counting_bug(self, monkeypatch):
+        pairs = finite_fields._cyclic_pairs
+        monkeypatch.setattr(finite_fields, "_cyclic_pairs", lambda i, m: pairs(i, m) + 1)
+        with pytest.raises(RuntimeError, match="counting bug"):
+            char_sum(make_field(2, 4), TABLE_MAPS[0])
 
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 7), (2, 12), (3, 5), (5, 3)])
     @pytest.mark.parametrize("chunk", [97, 1 << 15])
