@@ -22,9 +22,11 @@ treats it as one.
 
 Conjecture harnesses cover the curve family y^2 + y = x^(2^k+1) + x^(-1)
 over GF(2): divisibility of L-polynomials by the k=1 member, structured
-quotients (polynomials in t^p per prime power, split across two primes),
-and the gcd-dependence of the associated exponential sums.  Conjecture
-mismatches are findings, not errors.
+quotients (a polynomial in t^p for k a prime power p^e; for k = 2^e p^f,
+a product A(t^2) B(t^p), where A(t^2) = gcd(Q(t), Q(-t)) finds such a
+split whenever one exists, so "no_split" is a proof), and the
+gcd-dependence of the associated exponential sums.  Conjecture mismatches
+are findings, not errors.
 """
 
 from __future__ import annotations
@@ -182,8 +184,8 @@ def _compare_counts(lc: LPolynomial, ld: LPolynomial, ms) -> tuple[tuple[int, bo
 class SplitResult:
     """Outcome of a two-prime support split: Q(t) = a(t^p1) * b(t^p2).
 
-    status is "split" (a, b populated), "no_split" (impossibility proved),
-    or "inconclusive" (the heuristic cannot decide; a first-class outcome).
+    status is "split" (a, b populated) or "no_split" (no such pair of
+    integer polynomials exists).
     """
 
     status: str
@@ -192,64 +194,35 @@ class SplitResult:
 
 
 def split_two_prime(q_poly: IntPoly, p1: int, p2: int) -> SplitResult:
-    """Try to write Q(t) = A(t^p1) * B(t^p2) with integer polynomials.
+    """Write Q(t) = A(t^p1) * B(t^p2) with integer polynomials, or prove
+    that no such pair exists.  One prime must be 2; call the other p.
 
-    The exact route twists by the sign character, which realizes the p = 2
-    case without any root-of-unity arithmetic: candidate A(t^2) =
-    gcd(Q(t), Q(-t)).  One of the primes must be 2 for that trick (the
-    primes are swapped internally if needed); for a pair of odd primes only
-    the trivial splits are decidable and everything else is inconclusive.
+    The t^2 part is the primitive gcd(Q(t), Q(-t)), signed so that A(0) =
+    1, and the split exists iff the cofactor lies in Z[t^p].  This is
+    complete: if Q = A(t^2) B(t^p), then Q(-t) = A(t^2) B(-t^p) as p is
+    odd, so the gcd is A(t^2) h(t^p) with h = gcd(B(u), B(-u)); h(0) != 0
+    and h(-u) = +-h(u) make h even, so the gcd lies in Z[t^2] and the
+    cofactor is (B/h)(t^p).  The split returned is the one with the
+    largest t^2 part.
     """
     if not q_poly or q_poly[0] != 1:
         raise ValueError("Q(0) must be 1")
     if p1 == p2 or factor_int(p1) != {p1: 1} or factor_int(p2) != {p2: 1}:
         raise ValueError("need two distinct primes")
-    if p2 == 2:
-        res = _split_two_prime(q_poly, p2, p1)
-        if res.status == "split":
-            return SplitResult("split", a=res.b, b=res.a)
-        return res
-    return _split_two_prime(q_poly, p1, p2)
-
-
-def _split_two_prime(q_poly: IntPoly, p1: int, p2: int) -> SplitResult:
-    deg = q_poly.degree
-    if deg == 0:
-        return SplitResult("split", a=IntPoly([1]), b=IntPoly([1]))
-    shapes = [
-        (a, (deg - p1 * a) // p2)
-        for a in range(deg // p1 + 1)
-        if (deg - p1 * a) % p2 == 0
-    ]
-    if not shapes:
+    if 2 not in (p1, p2):
+        raise ValueError("one of the two primes must be 2")
+    p = p2 if p1 == 2 else p1
+    q_neg = IntPoly((-1) ** i * c for i, c in enumerate(q_poly.coeffs))
+    even = gcd_primitive(q_poly, q_neg)
+    if even[0] < 0:
+        even = -even
+    a = even.deflate(2)
+    b = divides_with_quotient(even, q_poly)[1].deflate(p)
+    if b is None:
         return SplitResult("no_split")
-    whole_a = q_poly.deflate(p1)
-    if whole_a is not None:
-        return _verified(q_poly, whole_a, IntPoly([1]), p1, p2)
-    whole_b = q_poly.deflate(p2)
-    if whole_b is not None:
-        return _verified(q_poly, IntPoly([1]), whole_b, p1, p2)
-    if p1 == 2:
-        q_neg = IntPoly((-1) ** i * c for i, c in enumerate(q_poly.coeffs))
-        cand = gcd_primitive(q_poly, q_neg)
-        if cand[0] == -1:
-            cand = -cand
-        even = cand.deflate(2)
-        if cand[0] == 1 and even is not None and 0 < cand.degree < deg:
-            ok, rest = divides_with_quotient(cand, q_poly)
-            if ok:
-                b_part = rest.deflate(p2)
-                if b_part is not None:
-                    return _verified(q_poly, even, b_part, p1, p2)
-    if all(a == 0 or b == 0 for a, b in shapes):
-        return SplitResult("no_split")  # only trivial shapes, and both failed
-    return SplitResult("inconclusive")
-
-
-def _verified(q_poly: IntPoly, a: IntPoly, b: IntPoly, p1: int, p2: int) -> SplitResult:
-    if a.inflate(p1) * b.inflate(p2) != q_poly:
+    if a.inflate(2) * b.inflate(p) != q_poly:
         raise AssertionError("split candidate failed re-verification")
-    return SplitResult("split", a=a, b=b)
+    return SplitResult("split", a=a, b=b) if p1 == 2 else SplitResult("split", a=b, b=a)
 
 
 @dataclass(frozen=True)
@@ -258,7 +231,7 @@ class QuotientStructure:
     the quotient equals parts[0](t^primes[0]); for "two_prime" it equals
     parts[0](t^primes[0]) * parts[1](t^primes[1])."""
 
-    kind: str  # unit | prime_power | two_prime | no_split | inconclusive | undivided
+    kind: str  # unit | prime_power | two_prime | no_split | undivided
     primes: tuple[int, ...] = ()
     parts: tuple[IntPoly, ...] = ()
 
@@ -348,14 +321,12 @@ def _quotient_structure(k: int, quot: IntPoly) -> QuotientStructure:
         if inner is None:
             return QuotientStructure(kind="no_split", primes=primes)
         return QuotientStructure(kind="prime_power", primes=primes, parts=(inner,))
-    if len(primes) == 2:
-        res = split_two_prime(quot, primes[0], primes[1])
-        if res.status == "split":
-            return QuotientStructure(kind="two_prime", primes=primes, parts=(res.a, res.b))
-        return QuotientStructure(kind=res.status, primes=primes)
-    # three or more primes: genus 2^(k-1)+1 is out of enumeration reach
-    # anyway, and no exact split procedure is implemented
-    return QuotientStructure(kind="inconclusive", primes=primes)
+    if len(primes) > 2:
+        raise ValueError(f"k = {k} has more than two prime factors")
+    res = split_two_prime(quot, *primes)
+    if res.status == "split":
+        return QuotientStructure(kind="two_prime", primes=primes, parts=(res.a, res.b))
+    return QuotientStructure(kind="no_split", primes=primes)
 
 
 # -- exponential-sum scan ----------------------------------------------------

@@ -135,15 +135,14 @@ def extension_lpoly(lp: LPolynomial, n: int) -> LPolynomial:
     """L-polynomial of the same curve base-extended to F_{q^n}: the
     reciprocal roots are raised to the n-th power.  Computed by taking
     every n-th power sum and rebuilding with the inverse Newton recursion,
-    so the route stays in exact integers."""
+    so the route stays in exact integers.  The degree is read from the
+    polynomial, not from its claimed genus."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return lp
-    if lp.g == 0:
-        return LPolynomial(q=lp.q**n, g=0, poly=IntPoly([1]))
-    d = 2 * lp.g
-    sums = lp.power_sums(d * n)
+    d = lp.poly.degree
+    sums = lp.power_sums(max(d, 1) * n)  # power_sums needs r >= 1, also for L = 1
     sub = [sums[n * m - 1] for m in range(1, d + 1)]
     try:
         poly = poly_from_power_sums(sub, d)

@@ -85,6 +85,12 @@ class TestCheckMainTheorem:
         assert rep.verdict is Verdict.HYPOTHESIS_FAILS
         assert rep.hyp1_first_fail == 1
 
+    def test_extension_reads_the_polynomial_not_its_genus(self):
+        # 1 + t has the reciprocal root -1, whose square is 1
+        lp = LPolynomial(2, 0, IntPoly([1, 1]))
+        assert extension_lpoly(lp, 2) == LPolynomial(4, 0, IntPoly([1, -1]))
+        assert extension_lpoly(LPolynomial(2, 0, IntPoly([1])), 3).poly == IntPoly([1])
+
     def test_hyp1_table_skips_multiples_of_k(self):
         rep = check_main_theorem(L_D1, L_D1, 3, 9)
         assert [m for m, _ in rep.hyp1_equal] == [1, 2, 4, 5, 7, 8]
@@ -224,6 +230,25 @@ class TestVerifyConjectureDk:
         a, b = rep.structure.parts
         assert a.inflate(2) * b.inflate(3) == rep.quotient
 
+    def test_family_theorem_justifies_the_k6_split(self):
+        # the criterion across D_1..D_6 for k' = 2..6; the k = 6 parts are the
+        # quotients of two rows it proves: L_{D_6}/L_{D_3} and L_{D_3}/L_{D_1}
+        lps = {k: curve_lpoly(dk_curve(k), threads=1) for k in range(1, 6)}
+        lps[6] = lpoly_from_counts(2, 33, oracles.DK6_COUNTS)
+        reports = {
+            (d, k, kk): check_main_theorem(lps[d], lps[k], kk, 12)
+            for k in range(2, 7)
+            for d in range(1, k)
+            for kk in range(2, 7)
+        }
+        assert len(reports) == 75
+        holds = {key for key, rep in reports.items() if rep.verdict is Verdict.HOLDS}
+        assert holds == {(1, 2, 2), (1, 3, 3), (1, 4, 2), (1, 5, 5), (2, 4, 3), (2, 6, 3), (3, 6, 2)}
+        assert all(rep.verdict is not Verdict.VIOLATION for rep in reports.values())
+        a, b = dk_report_from_counts(6, oracles.DK6_COUNTS).structure.parts
+        assert reports[(3, 6, 2)].quotient.deflate(2) == a
+        assert reports[(1, 3, 3)].quotient.deflate(3) == b
+
 
 class TestSplitTwoPrime:
     def test_mixed_product(self):
@@ -233,6 +258,9 @@ class TestSplitTwoPrime:
         assert res.a == IntPoly([1, 2])
         assert res.b == IntPoly([1, -1])
         assert res.a.inflate(2) * res.b.inflate(3) == q
+        # the primitive gcd here is 2t^2 - 1; A is signed so that A(0) = 1
+        res = split_two_prime(IntPoly([1, 0, -2]) * IntPoly([1, 0, 0, 1]), 2, 3)
+        assert res.a == IntPoly([1, -2]) and res.b == IntPoly([1, 1])
 
     def test_one_factor_absent(self):
         res = split_two_prime(IntPoly([1, 0, 2]), 2, 3)
@@ -259,15 +287,21 @@ class TestSplitTwoPrime:
         assert res.status == "split"
         assert res.a == IntPoly([1]) and res.b == IntPoly([1, -1])
 
+    def test_no_split_although_a_shape_fits(self):
+        # degree 5 = 2 + 3 fits the shape (1, 1), but that would need ab = 1, not 2
+        q = IntPoly([1, 0, 1, 1, 0, 2])
+        assert split_two_prime(q, 2, 3).status == "no_split"
+
+    # a pair of odd primes is refused: the gcd route needs one prime to be 2,
+    # so neither the trivial split nor an `inconclusive` answer is given
     def test_odd_odd_trivial_only(self):
-        q = IntPoly([1, 2]).inflate(3)
-        res = split_two_prime(q, 3, 5)
-        assert res.status == "split"
-        assert res.a == IntPoly([1, 2]) and res.b == IntPoly([1])
+        with pytest.raises(ValueError, match="must be 2"):
+            split_two_prime(IntPoly([1, 2]).inflate(3), 3, 5)
 
     def test_odd_odd_inconclusive(self):
         q = IntPoly([1, 2]).inflate(3) * IntPoly([1, 1]).inflate(5)
-        assert split_two_prime(q, 3, 5).status == "inconclusive"
+        with pytest.raises(ValueError, match="must be 2"):
+            split_two_prime(q, 3, 5)
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
@@ -279,17 +313,14 @@ class TestSplitTwoPrime:
 
     def test_random_products_recovered(self):
         rng = random.Random(31)
-        hits = 0
-        for _ in range(60):
-            a = IntPoly([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-            b = IntPoly([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-            q = a.inflate(2) * b.inflate(3)
-            res = split_two_prime(q, 2, 3)
-            assert res.status in ("split", "inconclusive")
-            if res.status == "split":
-                hits += 1
-                assert res.a.inflate(2) * res.b.inflate(3) == q
-        assert hits >= 50  # the gcd route resolves almost all of them
+        for p in (3, 5, 7):
+            for _ in range(60):
+                a = IntPoly([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                b = IntPoly([1] + [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                q = a.inflate(2) * b.inflate(p)
+                res = split_two_prime(q, 2, p)
+                assert res.status == "split"
+                assert res.a.inflate(2) * res.b.inflate(p) == q
 
 
 class TestGsumScan:
