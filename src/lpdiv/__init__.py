@@ -31,7 +31,6 @@ from .curves import (
     dk_curve,
     genus,
     gsum,
-    two_rank_deuring,
 )
 from .zeta import (
     LPolynomial,

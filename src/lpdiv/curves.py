@@ -1,5 +1,4 @@
-"""Curve models, genus and p-rank formulas, and exact point counting over
-extension fields.
+"""Curve models, genus, and exact point counting over extension fields.
 
 Two models are supported:
 
@@ -155,15 +154,6 @@ def genus(c: CurveModel) -> int:
         total = sum(deg * (order + 1) for deg, order in _pole_places(c.f))
         return total // 2 - 1
     return (gfpoly.degree(c.squared_rhs()) - 1) // 2
-
-
-def two_rank_deuring(c: ArtinSchreierCurve) -> int:
-    """2-rank of the Jacobian via Deuring-Shafarevich: (s - 1) * (p - 1)
-    where s counts the geometric poles of f."""
-    if not isinstance(c, ArtinSchreierCurve):
-        raise TypeError("Deuring-Shafarevich 2-rank applies to the y^2+y=f(x) model")
-    s = sum(deg for deg, _ in _pole_places(c.f))
-    return s - 1
 
 
 def count_points(c: CurveModel, m: int, *, threads: int | None = None) -> int:

@@ -73,7 +73,9 @@ class DivisibilityReport:
     the comparison, carried to m = k (deg L_C + deg L_D) - 1, holds for
     every m.  When that longer comparison fails, the verdict is
     HypothesisFails and ``hyp1_first_fail`` is the m it failed at, which
-    may lie beyond the horizon."""
+    may lie beyond the horizon.  A HOLDS verdict decides hypothesis 1 for
+    every m by itself: L_D = L_C * Q(t^k), and the power sums of Q(t^k)
+    vanish at every m not divisible by k."""
 
     k: int
     horizon: int
@@ -130,7 +132,8 @@ def check_main_theorem(
     """Run the divisibility criterion on two L-polynomials (``curve_lpoly``
     gives them for curves); hypothesis 1 is read from the counts they
     imply, reported for m <= horizon and decided for every m before a
-    violation is declared.
+    violation is declared.  A HOLDS verdict needs no such comparison: L_D =
+    L_C * Q(t^k) makes the counts agree at every m not divisible by k.
 
     Requires k >= 2: with k = 1 the count hypothesis is vacuous and the
     criterion asserts nothing.

@@ -53,22 +53,21 @@ realizations:
   x = 0 are summed on their own.  An orbit of size p meets R in c*p/m
   indices, c its number of cyclic 10 pairs (``_cyclic_pairs``), so each
   index of R has weight m/c: the signs are summed per c (``np.bincount``)
-  and m * sum of S_c / c is formed exactly, a non-integral total raising
-  RuntimeError as a counting bug.  At x = g^i each term x^e is
-  exps[e*i mod n], an arithmetic progression of indices over a chunk, read
-  as strided slices of exps between wrap-arounds (``_xor_progression``);
-  N(x) and D(x) are XORs of such terms, and Tr(N/D) is
-  parity(N & duals[D]), one gather per element.  The tables still cover
-  the whole field, since e*i mod n and D(x) reach all of it.  They are
-  built per call and not kept on the (cached, shared) field; building them
-  is most of a count.  Beyond that bound such maps raise ``TooLarge``.
+  into S_c, and m * S_c / c is added for each c in exact integers, an S_c
+  with m * S_c not a multiple of c raising RuntimeError as a counting bug.
+  At x = g^i each term x^e is exps[e*i mod n], an arithmetic progression
+  of indices over a chunk, read as strided slices of exps between
+  wrap-arounds (``_xor_progression``); N(x) and D(x) are XORs of such
+  terms, and Tr(N/D) is parity(N & duals[D]), one gather per element.
+  The tables still cover the whole field, since e*i mod n and D(x) reach
+  all of it.  They are built per call and not kept on the (cached, shared)
+  field; building them is most of a count.  Beyond that bound such maps raise ``TooLarge``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -501,14 +500,19 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     for lo in range(lo_r, hi_r, _TABLE_CHUNK):
         k = min(_TABLE_CHUNK, hi_r - lo)
         pairs = _cyclic_pairs(np.arange(lo, lo + k, dtype=np.int64), m)
+        # float64 sums of at most _TABLE_CHUNK = 2^15 terms +-1 are exact
         by_pairs += np.bincount(pairs, weights=signs(lo, k), minlength=m + 1).astype(np.int64)
-    orbit_sum = m * sum(Fraction(int(s), c) for c, s in enumerate(by_pairs) if s)
-    if orbit_sum.denominator != 1:
-        raise RuntimeError(
-            f"orbit sum {orbit_sum} over GF(2^{m}) is not an integer; "
-            "this indicates a counting bug"
-        )
-    return total + int(orbit_sum)
+    # the orbits with c pairs meet R in c*p/m indices each, so m * S_c is a
+    # multiple of c, and the orbits' sum is m * S_c / c
+    for c, s in enumerate(by_pairs.tolist()):
+        q, r = divmod(m * s, c) if c else (0, s)
+        if r:
+            raise RuntimeError(
+                f"orbit sum over GF(2^{m}) with {c} cyclic 10 pairs, m * {s}, is not "
+                f"a multiple of {c}; this indicates a counting bug"
+            )
+        total += q
+    return total
 
 
 def _block_length(m: int) -> int:

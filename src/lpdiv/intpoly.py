@@ -7,7 +7,6 @@ are all exact; an inexact division is an error, never a rounding.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 
@@ -200,27 +199,28 @@ def format_poly(f: IntPoly, spaced: bool = True) -> str:
 
 
 def divides_with_quotient(d: IntPoly, n: IntPoly) -> tuple[bool, IntPoly | None]:
-    """Exact division test over Z[t]: True iff n = d * q with q in Z[t]."""
+    """Exact division test over Z[t]: True iff n = d * q with q in Z[t].
+    Long division in Z: if q is in Z[t], every step divides exactly, so the
+    first inexact step proves that it is not."""
     if not d:
         raise ZeroDivisor("division by the zero polynomial")
     if not n:
         return True, IntPoly()
     if n.degree < d.degree:
         return False, None
-    rem = [Fraction(c) for c in n.coeffs]
-    quot = [Fraction(0)] * (n.degree - d.degree + 1)
-    dl = Fraction(d.lead)
+    rem = list(n.coeffs)
+    quot = [0] * (n.degree - d.degree + 1)
     for top in range(n.degree, d.degree - 1, -1):
-        coef = rem[top] / dl
+        coef, r = divmod(rem[top], d.lead)
+        if r:
+            return False, None
         quot[top - d.degree] = coef
         if coef:
             for i, dc in enumerate(d.coeffs):
                 rem[top - d.degree + i] -= coef * dc
     if any(rem):
         return False, None
-    if any(q.denominator != 1 for q in quot):
-        return False, None
-    return True, IntPoly(int(q) for q in quot)
+    return True, IntPoly(quot)
 
 
 def _pseudo_rem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -275,26 +275,25 @@ def squarefree_over_Q(f: IntPoly) -> bool:
 
 def power_sums_from_poly(f: IntPoly, r: int) -> list[int]:
     """Newton identities: power sums s_1..s_r of the reciprocal roots of f
-    (the alpha_i with f = f(0) * prod(1 - alpha_i t))."""
+    (the alpha_i with f = f(0) * prod(1 - alpha_i t)), by s_n = -(n f_n +
+    sum over 0 < j < n of f_j s_(n-j)) / f(0).  Raises ValueError at the
+    first s_n that is not an integer."""
     if not f or f[0] == 0:
         raise ZeroConstantTerm("reciprocal roots need f(0) != 0")
     if r < 1:
         raise ValueError("need r >= 1")
-    a0 = f[0]
+    c = f.coeffs
     d = f.degree
-    if a0 in (1, -1):
-        b = [f[j] * a0 for j in range(d + 1)]  # a0 == 1/a0: stays integral
-    else:
-        b = [Fraction(f[j], a0) for j in range(d + 1)]
-    sums: list = [0] * (r + 1)
+    sums = [0] * (r + 1)
     for n_ in range(1, r + 1):
-        acc = -n_ * b[n_] if n_ <= d else 0
+        acc = n_ * c[n_] if n_ <= d else 0
         for j in range(1, min(n_ - 1, d) + 1):
-            acc -= b[j] * sums[n_ - j]
-        sums[n_] = acc
-    if any(s.denominator != 1 for s in sums):
-        raise ValueError("power sums are not integral for this polynomial")
-    return [int(s) for s in sums[1:]]
+            acc += c[j] * sums[n_ - j]
+        s, rem = divmod(-acc, c[0])
+        if rem:
+            raise ValueError("power sums are not integral for this polynomial")
+        sums[n_] = s
+    return sums[1:]
 
 
 def inverse_newton(s, d: int) -> IntPoly:

@@ -9,15 +9,12 @@ sqrt(q) and determine every count through
     #C(F_{q^m}) = q^m + 1 - sum_i alpha_i^m.
 
 Everything here goes through exact integer Newton recursions on power sums;
-no roots are ever extracted (the numeric root-modulus check in
-``validate_lpoly`` is advisory only).
+no roots are ever extracted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int
 from .intpoly import (
@@ -180,10 +177,9 @@ class LValidation:
     failures: tuple[str, ...]
 
 
-def validate_lpoly(lp: LPolynomial, check_roots: bool = False) -> LValidation:
-    """Structural checks: constant term 1, degree 2g, functional equation;
-    optionally a numeric |root| = q^(-1/2) check (tolerance 1e-6, advisory:
-    the exact checks already pin the Weil pairing structure)."""
+def validate_lpoly(lp: LPolynomial) -> LValidation:
+    """Structural checks, all exact: constant term 1, degree 2g, functional
+    equation."""
     failures = []
     poly = lp.poly
     if poly[0] != 1:
@@ -196,10 +192,4 @@ def validate_lpoly(lp: LPolynomial, check_roots: bool = False) -> LValidation:
             if poly[2 * g - i] != q ** (g - i) * poly[i]:
                 failures.append("functional equation fails at index " + str(i))
                 break
-    if check_roots and not failures and lp.g > 0:
-        roots = np.roots([float(c) for c in reversed(poly.coeffs)])
-        target = lp.q ** -0.5
-        worst = max(abs(abs(r) - target) for r in roots)
-        if worst > 1e-6 * target:
-            failures.append(f"root modulus deviates by {worst:.3g}")
     return LValidation(ok=not failures, failures=tuple(failures))

@@ -12,6 +12,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
+import numpy as np
+
 from lpdiv.intpoly import IntPoly
 from lpdiv.zeta import LPolynomial
 
@@ -180,6 +182,25 @@ def tuple_field(p, m, modulus=None) -> TupleField:
     return TupleField(p, m, modulus)
 
 
+# -- the 2-rank by Deuring-Shafarevich ---------------------------------------
+
+
+def two_rank_deuring(curve) -> int:
+    """2-rank of the Jacobian of y^2 + y = f(x) by Deuring-Shafarevich: s - 1,
+    s the number of geometric poles of f.  The finite poles are the distinct
+    roots of the denominator, whose number is the sum of the degrees of its
+    monic irreducible factors, found here by trial division; infinity is a
+    pole when the numerator has the larger degree."""
+    num, den = _norm(curve.f.num, 2), _norm(curve.f.den, 2)
+    s = sum(
+        d
+        for d in range(1, len(den))
+        for cand in _monic_polys(d, 2)
+        if not _polymod(den, cand, 2) and is_irreducible_bruteforce(cand, 2)
+    )
+    return s + (len(num) > len(den)) - 1
+
+
 # -- traces and character sums by definition --------------------------------
 
 
@@ -307,6 +328,28 @@ def fraction_divides(d: IntPoly, n: IntPoly):
     if any(num) or any(q.denominator != 1 for q in quot):
         return False, None
     return True, IntPoly(int(q) for q in quot)
+
+
+def roots_on_circle(lp: LPolynomial) -> bool:
+    """Every root of L has modulus q^(-1/2) (so every reciprocal root has
+    modulus sqrt(q)), to a relative tolerance of 1e-6, by numpy's
+    floating-point roots."""
+    if lp.poly.degree < 1:
+        return True
+    roots = np.roots([float(c) for c in reversed(lp.poly.coeffs)])
+    target = lp.q**-0.5
+    return max(abs(abs(r) - target) for r in roots) <= 1e-6 * target
+
+
+def fraction_power_sums(f: IntPoly, r: int) -> list[Fraction]:
+    """Power sums s_1..s_r of the reciprocal roots of f over Q: Newton's
+    identities on the monic-at-zero f / f(0), in exact fractions."""
+    b = [Fraction(c, f.coeffs[0]) for c in f.coeffs]
+    sums = [Fraction(0)] * (r + 1)
+    for n in range(1, r + 1):
+        sums[n] = -n * b[n] if n < len(b) else Fraction(0)
+        sums[n] -= sum(b[j] * sums[n - j] for j in range(1, min(n, len(b))))
+    return sums[1:]
 
 
 # -- the count identity for every m ------------------------------------------

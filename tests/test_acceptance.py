@@ -137,7 +137,7 @@ def test_criterion_6_property_suite():
 
         # functional-equation validation of every produced L-polynomial
         for lp in lps.values():
-            assert validate_lpoly(lp, check_roots=True).ok
+            assert validate_lpoly(lp).ok and oracles.roots_on_circle(lp)
         for _ in range(50):
             q = rng.choice([2, 3, 4, 5])
             lp = oracles.make_weil_lpoly(rng, q, rng.randint(1, 6))

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import tracemalloc
 
 import pytest
@@ -16,13 +17,13 @@ from lpdiv.curves import (
     dk_map,
     genus,
     gsum,
-    two_rank_deuring,
 )
 from lpdiv.finite_fields import FiniteField, RationalMap, TooLarge, make_field
-from lpdiv.zeta import LPolynomial, counts_from_lpoly, lpoly_from_counts
+from lpdiv.zeta import LPolynomial, counts_from_lpoly, curve_lpoly, lpoly_from_counts, p_rank_manin
 
 import oracles
 
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
 X3_CURVE = ArtinSchreierCurve(RationalMap(2, (0, 0, 0, 1)))  # y^2 + y = x^3
 HYPER3 = OddHyperellipticCurve(3, (), (1, 2, 0, 1))  # y^2 = x^3 + 2x + 1 over F_3
 
@@ -104,20 +105,52 @@ class TestGenus:
 class TestTwoRank:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_dk_rank_one(self, k):
-        assert two_rank_deuring(dk_curve(k)) == 1
+        assert oracles.two_rank_deuring(dk_curve(k)) == 1
 
     def test_single_pole(self):
-        assert two_rank_deuring(X3_CURVE) == 0
+        assert oracles.two_rank_deuring(X3_CURVE) == 0
 
     def test_three_poles(self):
         # x + 1/x + 1/(x+1) has poles at 0, 1 and infinity
         f = RationalMap(2, (1, 0, 1, 1), (0, 1, 1))
-        assert two_rank_deuring(ArtinSchreierCurve(f)) == 2
+        assert oracles.two_rank_deuring(ArtinSchreierCurve(f)) == 2
 
     def test_quadratic_pole_place_counts_geometric_points(self):
         # poles at both roots of x^2+x+1 (conjugate pair) -> s = 2
         c = ArtinSchreierCurve(RationalMap(2, (1,), (1, 1, 1)))
-        assert two_rank_deuring(c) == 1
+        assert oracles.two_rank_deuring(c) == 1
+
+    def test_deuring_matches_manin_on_family_and_samples(self):
+        curves_ = [dk_curve(k) for k in range(1, 6)]
+        for path in sorted(SAMPLES.glob("*.json")):
+            obj = json.loads(path.read_text())
+            if obj.get("model") == "as2":
+                curves_.append(curve_from_json_dict(obj))
+        assert len(curves_) == 10
+        for c in curves_:
+            assert oracles.two_rank_deuring(c) == p_rank_manin(curve_lpoly(c, threads=1), 2), c
+
+    def test_deuring_matches_manin_on_random_curves(self):
+        # seeded random reduced y^2 + y = num/den of genus 1..10: the
+        # Deuring-Shafarevich count of poles against the degree of L mod 2
+        rng = random.Random(20261019)
+        genera, ranks = set(), set()
+        done = 0
+        while done < 200:
+            den = [rng.randint(0, 1) for _ in range(rng.randint(0, 6))] + [1]
+            num = [rng.randint(0, 1) for _ in range(rng.randint(1, 16))]
+            try:
+                c = ArtinSchreierCurve(RationalMap(2, num, den))
+            except NotReduced:
+                continue
+            if not 1 <= genus(c) <= 10:
+                continue
+            rank = oracles.two_rank_deuring(c)
+            assert rank == p_rank_manin(curve_lpoly(c, threads=1), 2), c
+            genera.add(genus(c))
+            ranks.add(rank)
+            done += 1
+        assert genera == set(range(1, 11)) and len(ranks) >= 5
 
 
 class TestCountPoints:
@@ -178,8 +211,7 @@ class TestCountPoints:
         # N_1..N_4 of the genus-4 sample from the brute-force oracle fix its
         # L-polynomial, whose power sums predict N_13..N_22: sizes the
         # oracle cannot reach, counted by the table kernel up to its bound.
-        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
-        c = curve_from_json_dict(json.loads((samples / "general4.json").read_text()))
+        c = curve_from_json_dict(json.loads((SAMPLES / "general4.json").read_text()))
         assert c.f.laurent_exponents() is None and genus(c) == 4
         first = [oracles.naive_count_as2(c, m) for m in range(1, 5)]
         assert first == [3, 9, 12, 25]
@@ -200,6 +232,23 @@ class TestCountPoints:
         for m, n in enumerate(series.counts, start=1):
             assert (n - 2**m - 1) ** 2 <= 4 * g * g * 2**m
 
+    def test_weil_guard_refuses_a_count_just_outside_the_bound(self, monkeypatch):
+        # x3.json is genus 1 over F_2: |N_2 - 5| <= 2 * 2 allows N_2 <= 9
+        c = curve_from_json_dict(json.loads((SAMPLES / "x3.json").read_text()))
+        real = curves.count_points
+        monkeypatch.setattr(curves, "count_points", lambda c, m, **kw: 10 if m == 2 else real(c, m, **kw))
+        with pytest.raises(RuntimeError, match=r"^count N_2 = 10 violates .*counting bug"):
+            count_series(c, 3)
+
+    def test_weil_guard_accepts_the_largest_count_the_bound_allows(self, monkeypatch):
+        # |N_1 - 3| <= 2 sqrt(2) allows N_1 = 5, and |N_2 - 5| <= 4 allows N_2 = 9
+        c = curve_from_json_dict(json.loads((SAMPLES / "x3.json").read_text()))
+        assert genus(c) == 1
+        bounds = {1: 5, 2: 9}
+        real = curves.count_points
+        monkeypatch.setattr(curves, "count_points", lambda c, m, **kw: bounds.get(m) or real(c, m, **kw))
+        assert count_series(c, 3).counts == (5, 9, real(c, 3))
+
     def test_too_large(self):
         with pytest.raises(TooLarge, match=r"^m = 35 exceeds the enumeration bound 34$"):
             count_points(dk_curve(1), 35)
@@ -215,8 +264,7 @@ class TestCountPoints:
     # Each series below crosses a bound only at its last m, so the kernel is
     # patched to raise: a series counted from m = 1 reaches it first.
     def _sample(self, name):
-        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
-        return curve_from_json_dict(json.loads((samples / name).read_text()))
+        return curve_from_json_dict(json.loads((SAMPLES / name).read_text()))
 
     def test_series_beyond_the_order_cap_refused_before_counting(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -385,11 +433,10 @@ class TestOddKernel:
         # The published F_3 pair from two curves: N_m agree for m coprime to
         # 6 and differ at m = 2, every count as its L-polynomial predicts.
         # m = 13 (1.6 million elements) is counted directly.
-        samples = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
         counts = {}
         for name in ("lc", "ld"):
-            curve = curve_from_json_dict(json.loads((samples / f"f3_{name}_curve.json").read_text()))
-            lp = LPolynomial.from_json_dict(json.loads((samples / f"f3_{name}.json").read_text()))
+            curve = curve_from_json_dict(json.loads((SAMPLES / f"f3_{name}_curve.json").read_text()))
+            lp = LPolynomial.from_json_dict(json.loads((SAMPLES / f"f3_{name}.json").read_text()))
             want = counts_from_lpoly(lp, 13).counts
             counts[name] = {m: count_points(curve, m) for m in (1, 2, 5, 7, 11, 13)}
             assert counts[name] == {m: want[m - 1] for m in counts[name]}

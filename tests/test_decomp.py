@@ -39,6 +39,15 @@ L_D1 = LPolynomial(q=2, g=2, poly=IntPoly([1, 1, 0, 2, 4]))
 L_X3 = LPolynomial(q=2, g=1, poly=IntPoly([1, 0, 2]))
 
 
+def assert_holds_decides_every_m(rep):
+    # L_D = L_C * Q(t^k): the implied counts agree at every m not divisible
+    # by k, checked here to m = 2k (deg L_C + deg L_D)
+    reach = 2 * rep.k * (rep.lc.poly.degree + rep.ld.poly.degree)
+    counts_c = counts_from_lpoly(rep.lc, reach).counts
+    counts_d = counts_from_lpoly(rep.ld, reach).counts
+    assert all(counts_c[m - 1] == counts_d[m - 1] for m in range(1, reach + 1) if m % rep.k)
+
+
 def check_curves(c_c, c_d, k: int, horizon: int):
     """The criterion on two curves, each counted to the horizon."""
     return check_main_theorem(curve_lpoly(c_c, horizon), curve_lpoly(c_d, horizon), k, horizon)
@@ -245,6 +254,8 @@ class TestVerifyConjectureDk:
         holds = {key for key, rep in reports.items() if rep.verdict is Verdict.HOLDS}
         assert holds == {(1, 2, 2), (1, 3, 3), (1, 4, 2), (1, 5, 5), (2, 4, 3), (2, 6, 3), (3, 6, 2)}
         assert all(rep.verdict is not Verdict.VIOLATION for rep in reports.values())
+        for key in holds:
+            assert_holds_decides_every_m(reports[key])
         a, b = dk_report_from_counts(6, oracles.DK6_COUNTS).structure.parts
         assert reports[(3, 6, 2)].quotient.deflate(2) == a
         assert reports[(1, 3, 3)].quotient.deflate(3) == b
@@ -407,6 +418,7 @@ class TestTheoremOracles:
         # identity holds (given hypothesis 2), and never a violation.
         rng = random.Random(43)
         found = {True: 0, False: 0}
+        holds = 0
         for _ in range(500):
             q = rng.choice([2, 3, 4, 5])
             k = rng.choice([2, 3, 4, 5])
@@ -426,5 +438,9 @@ class TestTheoremOracles:
                     assert (rep.verdict is Verdict.HOLDS) is identity
                 if rep.hyp1_first_fail is not None:
                     assert rep.hyp1_first_fail <= reach and rep.hyp1_first_fail % k
+            if rep.verdict is Verdict.HOLDS:  # at every horizon alike
+                assert_holds_decides_every_m(rep)
+                holds += 1
             found[identity] += 1
         assert min(found.values()) >= 150  # both outcomes well represented
+        assert holds >= 100

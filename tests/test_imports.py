@@ -2,7 +2,10 @@
 private names, and the package namespace exports only names that exist."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import lpdiv
 
@@ -42,3 +45,12 @@ def test_every_exported_name_resolves():
     exec("from lpdiv import *", namespace)  # AttributeError on a stale name
     assert {"char_sum", "lpoly_from_counts", "verify_conjecture_dk"} <= set(namespace)
     assert all(hasattr(lpdiv, name) for name in lpdiv.__all__)
+    assert "two_rank_deuring" not in namespace  # a test oracle, not a library route
+
+
+def test_import_leaves_fractions_unloaded():
+    # every decision in the package is taken in exact integers
+    probe = "import sys, lpdiv; print('fractions' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -173,6 +173,19 @@ class TestPowerSums:
         with pytest.raises(ValueError):
             power_sums_from_poly(IntPoly([2, -1]), 3)
 
+    @given(nonzero_poly, st.integers(min_value=1, max_value=10))
+    @settings(max_examples=300)
+    def test_matches_fraction_oracle(self, f, r):
+        # the integers when every sum is one, ValueError otherwise
+        if f[0] == 0:
+            return
+        want = oracles.fraction_power_sums(f, r)
+        if all(s.denominator == 1 for s in want):
+            assert power_sums_from_poly(f, r) == want
+        else:
+            with pytest.raises(ValueError, match="not integral"):
+                power_sums_from_poly(f, r)
+
     @given(unit_head_poly, unit_head_poly)
     @settings(max_examples=150)
     def test_multiplicativity(self, f, g):

@@ -152,7 +152,8 @@ class TestPRank:
 
 class TestValidate:
     def test_d1_valid(self):
-        assert validate_lpoly(L_D1, check_roots=True).ok
+        assert validate_lpoly(L_D1).ok
+        assert oracles.roots_on_circle(L_D1)
 
     def test_x3_valid(self):
         assert validate_lpoly(L_X3).ok
@@ -177,7 +178,7 @@ class TestValidate:
         # valid functional equation but reciprocal roots off the circle
         bad = LPolynomial(q=2, g=1, poly=IntPoly([1, 3, 2]))
         assert validate_lpoly(bad).ok
-        assert not validate_lpoly(bad, check_roots=True).ok
+        assert not oracles.roots_on_circle(bad)
 
 
 class TestRoundtripProperty:
