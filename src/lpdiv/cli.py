@@ -218,7 +218,8 @@ def run(config: argparse.Namespace) -> int:
             for side in sides
         )
         horizon = max(2 * (g_c + g_d), 1) if config.horizon is None else config.horizon
-        check_criterion_inputs(q_c, q_d, config.k, horizon)  # refuse before counting a curve
+        # refuse before counting a curve; a valid L-polynomial has degree 2g
+        check_criterion_inputs(q_c, q_d, 2 * g_c, 2 * g_d, config.k, horizon)
         lc, ld = (
             side if isinstance(side, LPolynomial) else curve_lpoly(side, horizon, threads=config.threads)
             for side in sides

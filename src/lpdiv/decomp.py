@@ -56,6 +56,7 @@ from .zeta import (
 )
 
 SCHEMA_VERSION = 1
+CRITERION_REACH_MAX = 1 << 12  # power sums and implied counts per criterion check
 
 
 class Verdict(str, Enum):
@@ -114,16 +115,28 @@ class DivisibilityReport:
         }
 
 
-def check_criterion_inputs(q_c: int, q_d: int, k: int, horizon: int) -> None:
-    """Raise ValueError unless k >= 2, the base fields agree and horizon >=
-    1: the refusals of ``check_main_theorem``, which a caller can run
-    before it counts any curve."""
+def check_criterion_inputs(
+    q_c: int, q_d: int, deg_c: int, deg_d: int, k: int, horizon: int
+) -> None:
+    """Raise ValueError unless k >= 2, the base fields agree, horizon >= 1
+    and the reach max(horizon, k (deg L_C + deg L_D)) is at most
+    ``CRITERION_REACH_MAX``: the refusals of ``check_main_theorem``, which
+    a caller can run before it counts any curve.  The reach bounds every
+    power sum the criterion takes (deg L_C * k for the extension, and
+    counts up to the horizon, or below k (deg L_C + deg L_D) when hypothesis
+    1 is decided for every m)."""
     if k < 2:
         raise ValueError("the divisibility criterion needs k >= 2")
     if q_c != q_d:
         raise ValueError("L-polynomials must share the base field size")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    reach = max(horizon, k * (deg_c + deg_d))
+    if reach > CRITERION_REACH_MAX:
+        raise ValueError(
+            f"max(horizon, k * (deg L_C + deg L_D)) = {reach} exceeds the "
+            f"bound {CRITERION_REACH_MAX} of the divisibility criterion"
+        )
 
 
 def check_main_theorem(
@@ -138,7 +151,7 @@ def check_main_theorem(
     Requires k >= 2: with k = 1 the count hypothesis is vacuous and the
     criterion asserts nothing.
     """
-    check_criterion_inputs(lc.q, ld.q, k, horizon)
+    check_criterion_inputs(lc.q, ld.q, lc.poly.degree, ld.poly.degree, k, horizon)
     rows = _compare_counts(lc, ld, (m for m in range(1, horizon + 1) if m % k))
     first_fail = next((m for m, eq in rows if not eq), None)
     hyp2 = squarefree_over_Q(extension_lpoly(lc, k).poly)

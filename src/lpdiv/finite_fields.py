@@ -9,12 +9,16 @@ a time here (the test oracles do that, on arithmetic of their own).
 ``bulk_decode``/``bulk_encode`` convert codes to digit arrays and back,
 and ``mul_matrices`` gives the m x m digit matrices over GF(p) of
 multiplications by constants.  A field is its (p, m): the modulus is
-always the lexicographically first monic irreducible of degree m, so
-``make_field(p, m)`` caches fields by (p, m), and a worker process of the
-p = 2 kernel rebuilds its field from m alone.  A ``FiniteField`` is
-immutable after construction and safe to share.  No field of degree above
-the enumeration bound ``DEFAULT_MAX_M`` = 34 can be built, so no count
-beyond it can start.
+always the lexicographically first monic irreducible of degree m and the
+generator the least one, so ``make_field(p, m)`` caches fields by (p, m),
+and a worker process of the p = 2 kernel rebuilds its field from m alone.
+For odd p both are searched for (factoring p^m - 1 for the generator); for
+p = 2 they are read, with g^-1, from the table ``_GF2_FIELDS``, which the
+tests check against the search for every m, so a p = 2 field costs only
+its O(m^2) trace masks.  A ``FiniteField`` is immutable after
+construction and safe to share.  No field of degree above the enumeration
+bound ``DEFAULT_MAX_M`` = 34 can be built, so no count beyond it can
+start.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -32,15 +36,19 @@ realizations:
   word, and Four-Russians tables (``_xor_tables``) hold the XOR of every
   subset of 8 consecutive rows, so the L trace bits of a block are one
   gather per byte of c_t and exponent, and the block adds L - 2*popcount.
-  The starts c_t come per chunk of ``_STARTS`` blocks from one geometric
-  block per exponent and one constant multiplication per chunk; gathers
-  run ``_BATCH`` blocks at a time, and bits of the last block past the
-  range end are masked, so any index range [lo, hi) can be summed.  Memory
-  is bounded by these chunk sizes, not by the field.  Fields with more
-  than ``_CHUNK`` = 2^27 nonzero elements are cut into ranges that run in
-  parallel processes (below that, starting the processes costs more than
-  it saves); partial sums are exact ints, so the result does not depend
-  on the partitioning;
+  The starts c_t come per chunk of ``_STARTS`` blocks: c_t of the chunk's
+  block s is its first c_t times g^(e*L*s) = (g^(e*s))^L, and a chunk has
+  at most L blocks for every m <= 34, so these are the images of T_e[s]
+  under the GF(2)-linear Frobenius map y -> y^L, one gather through its
+  byte tables (``_frobenius_tables``, built once per count) for every
+  exponent at once, then one constant multiplication per chunk.  A
+  negative exponent e raises g^-1 to -e.  Gathers run ``_BATCH`` blocks at
+  a time, and bits of the last block past the range end are masked, so
+  any index range [lo, hi) can be summed.  Memory is bounded by these
+  chunk sizes, not by the field.  Fields with more than ``_CHUNK`` = 2^27
+  nonzero elements are cut into ranges that run in parallel processes
+  (below that, starting the processes costs more than it saves); partial
+  sums are exact ints, so the result does not depend on the partitioning;
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
   M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
@@ -84,6 +92,49 @@ _STARTS = 1 << 12  # block starts of the packed kernel computed at once
 _BATCH = 1 << 10  # blocks of the packed kernel gathered at once
 LOG_TABLE_MAX = 1 << 20
 POWER_TABLE_MAX = 1 << 30
+
+# GF(2^m) for 1 <= m <= DEFAULT_MAX_M: (the modulus without its leading
+# t^m, encoded; the generator g; g^-1).  The modulus and g are what
+# ``_default_modulus`` and ``_find_generator``, which build the odd-p
+# fields, return at p = 2 (the lexicographically first monic irreducible,
+# the least generator), so a p = 2 field is built without searching or
+# factoring 2^m - 1; the tests re-run both searches for every m.
+_GF2_FIELDS = {
+    1: (0x0, 1, 0x1),
+    2: (0x3, 2, 0x3),
+    3: (0x3, 2, 0x5),
+    4: (0x3, 2, 0x9),
+    5: (0x5, 2, 0x12),
+    6: (0x3, 2, 0x21),
+    7: (0x3, 2, 0x41),
+    8: (0x1b, 3, 0xf6),
+    9: (0x3, 7, 0x16c),
+    10: (0x9, 2, 0x204),
+    11: (0x5, 2, 0x402),
+    12: (0x9, 3, 0xff8),
+    13: (0x1b, 2, 0x100d),
+    14: (0x21, 7, 0x1b60),
+    15: (0x3, 2, 0x4001),
+    16: (0x2b, 3, 0xffe6),
+    17: (0x9, 2, 0x10004),
+    18: (0x9, 10, 0x35553),
+    19: (0x27, 2, 0x40013),
+    20: (0x9, 2, 0x80004),
+    21: (0x5, 2, 0x100002),
+    22: (0x3, 2, 0x200001),
+    23: (0x21, 2, 0x400010),
+    24: (0x1b, 2, 0x80000d),
+    25: (0x9, 2, 0x1000004),
+    26: (0x1b, 3, 0x3fffff6),
+    27: (0x27, 2, 0x4000013),
+    28: (0x3, 7, 0x6db6db6),
+    29: (0x5, 2, 0x10000002),
+    30: (0x3, 19, 0x226bc4d6),
+    31: (0x9, 2, 0x40000004),
+    32: (0x8d, 3, 0xffffff84),
+    33: (0x4b, 3, 0x1ffffffc6),
+    34: (0x1b, 3, 0x3fffffff6),
+}
 
 
 class NoPrime(ValueError):
@@ -179,24 +230,24 @@ class FiniteField:
     def __init__(self, p: int, m: int):
         if m > DEFAULT_MAX_M:  # before any modulus search or factoring
             raise TooLarge(f"m = {m} exceeds the enumeration bound {DEFAULT_MAX_M}")
-        if factor_int(p) != {p: 1}:
+        if p != 2 and factor_int(p) != {p: 1}:
             raise NoPrime(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        modulus = _default_modulus(p, m)
         self.p = p
         self.m = m
-        self.modulus = modulus
         self.order = p**m
-        if p == 2:
-            self._mod_int = gfpoly.encode(modulus, 2)
+        if p == 2:  # the search's results, read from the table
+            low, self.generator, self._generator_inv = _GF2_FIELDS[m]
             self._top_bit = 1 << m
-        self.generator = self._find_generator()
-        if p == 2:
+            self._mod_int = low | self._top_bit
+            self.modulus = gfpoly.decode(self._mod_int, 2)
             self._dual_masks = self._build_dual_masks()
         else:  # t^i mod the modulus, i < 2m - 1: y -> c*y maps t^j to sum c_k t^(j+k)
+            self.modulus = _default_modulus(p, m)
+            self.generator = self._find_generator()
             monomials = ((0,) * i + (1,) for i in range(2 * m - 1))
-            self._reduced = tuple(gfpoly.encode(gfpoly.mod(t, modulus, p), p) for t in monomials)
+            self._reduced = tuple(gfpoly.encode(gfpoly.mod(t, self.modulus, p), p) for t in monomials)
 
     # -- scalar arithmetic ------------------------------------------------
 
@@ -275,6 +326,16 @@ class FiniteField:
             c <<= 1
             if c & self._top_bit:
                 c ^= self._mod_int
+        return _xor_tables(np.array(rows, dtype=np.uint64))
+
+    def _frobenius_tables(self, a: int) -> np.ndarray:
+        """Four-Russians tables of the GF(2)-linear map y -> y^(2^a): rows
+        (t^k)^(2^a) = z^k for k < m, z = t^(2^a)."""
+        rows = [1]
+        if self.m > 1:  # GF(2) has the one basis element 1
+            z = self.pow_el(2, 1 << a)
+            for _ in range(self.m - 1):
+                rows.append(self.mul(rows[-1], z))
         return _xor_tables(np.array(rows, dtype=np.uint64))
 
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
@@ -526,24 +587,28 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
     if not exponents or hi == lo:
         return hi - lo  # f = 0, or nothing to sum
     n = field.order - 1
-    g = field.generator
     length = _block_length(field.m)
     blocks = -(-(hi - lo) // length)
-    per_chunk = min(_STARTS, blocks)
+    per_chunk = min(_STARTS, blocks)  # <= length for every m <= DEFAULT_MAX_M
     shifts = np.arange(field.m, dtype=np.uint64)[:, None]
     # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], and
     # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): the rows are the bits of M(T_e[j])
-    bases = [field.pow_el(g, e % n) for e in exponents]
+    bases = [
+        field.pow_el(field.generator, e % n) if e >= 0 else field.pow_el(field._generator_inv, -e % n)
+        for e in exponents
+    ]
     powers = np.stack([field.geometric_block(b, length) for b in bases])
-    tables, steps, jumps, firsts = [], [], [], []
-    for base, row, masks in zip(bases, powers, field.bulk_trace_dual(powers)):
+    # c_t for a chunk of blocks is its first c_t times g^(e*length*s), s <
+    # per_chunk <= length, and g^(e*length*s) = (g^(e*s))^length: the
+    # Frobenius y -> y^length of the first powers, for every exponent at once
+    steps = _xor_gather(field._frobenius_tables(length.bit_length() - 1), powers[:, :per_chunk])
+    tables, jumps, firsts = [], [], []
+    for base, row, step, masks in zip(bases, powers, steps, field.bulk_trace_dual(powers)):
         bits = ((masks >> shifts) & np.uint64(1)).astype(np.uint8)
         tables.append(_xor_tables(np.packbits(bits, axis=1, bitorder="little").view(np.uint64)))
-        # c_t for a chunk of blocks is its first c_t times (g^(e*length))^s,
-        # and the last power of each block times g^e is the next power
+        # the last power of each block times g^e is the next power
         ratio = field.mul(int(row[-1]), base)  # g^(e*length)
-        steps.append(field.geometric_block(ratio, per_chunk))
-        jumps.append(field.mul(int(steps[-1][-1]), ratio))  # g^(e*length*per_chunk)
+        jumps.append(field.mul(int(step[-1]), ratio))  # g^(e*length*per_chunk)
         firsts.append(field.pow_el(base, lo))  # 1 when lo = 0
     ones = 0
     for t0 in range(0, blocks, per_chunk):

@@ -123,9 +123,11 @@ def counts_from_lpoly(lp: LPolynomial, r: int) -> PointCountSeries:
     """N_m = q^m + 1 - s_m for m = 1..r."""
     if r < 1:
         raise ValueError("horizon must be >= 1")
-    sums = lp.power_sums(r)
-    counts = tuple(lp.q**m + 1 - sums[m - 1] for m in range(1, r + 1))
-    return PointCountSeries(q=lp.q, counts=counts)
+    counts, q_m = [], 1
+    for s in lp.power_sums(r):
+        q_m *= lp.q  # q^m, one product per m
+        counts.append(q_m + 1 - s)
+    return PointCountSeries(q=lp.q, counts=tuple(counts))
 
 
 def extension_lpoly(lp: LPolynomial, n: int) -> LPolynomial:

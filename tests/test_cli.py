@@ -290,8 +290,18 @@ class TestErrors:
             ("hyper3.json", "d1.json", "2", "30", "L-polynomials must share the base field size"),
             ("d3.json", "f3_ld.json", "2", "30", "L-polynomials must share the base field size"),
             ("d3.json", "d1.json", "2", "0", "horizon must be >= 1"),
+            ("f3_lc.json", "f3_ld.json", "40000", "5",
+             "max(horizon, k * (deg L_C + deg L_D)) = 240000 exceeds the bound 4096 "
+             "of the divisibility criterion"),
+            # curve files: deg L = 2g, and g(D_3) + g(D_1) = 5 + 2
+            ("d3.json", "d1.json", "293", "5",
+             "max(horizon, k * (deg L_C + deg L_D)) = 4102 exceeds the bound 4096 "
+             "of the divisibility criterion"),
+            ("d3.json", "d1.json", "2", "4097",
+             "max(horizon, k * (deg L_C + deg L_D)) = 4097 exceeds the bound 4096 "
+             "of the divisibility criterion"),
         ],
-        ids=["k1", "q-curves", "q-mixed", "horizon-0"],
+        ids=["k1", "q-curves", "q-mixed", "horizon-0", "reach-lpolys", "reach-curves-k", "reach-curves-horizon"],
     )
     def test_check_div_refused_before_counting(self, capsys, monkeypatch, lc, ld, k, horizon, message):
         from lpdiv import curves

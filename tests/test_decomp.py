@@ -8,6 +8,7 @@ import pytest
 from lpdiv.cli import emit_report
 from lpdiv.curves import curve_from_json_dict, dk_curve, gsum
 from lpdiv.decomp import (
+    CRITERION_REACH_MAX,
     F3_LC,
     F3_LD,
     SplitResult,
@@ -122,6 +123,21 @@ class TestCheckMainTheorem:
     def test_mismatched_base_fields(self):
         with pytest.raises(ValueError):
             check_main_theorem(L_D1, F3_LD, 2, 8)
+
+    def test_reach_beyond_the_bound_refused_before_any_power_sum(self, monkeypatch):
+        # deg L_D1 = 4, so the reach of (L_D1, L_D1, k) is max(horizon, 8k)
+        k_max = CRITERION_REACH_MAX // 8
+        rep = check_main_theorem(L_D1, L_D1, k_max, CRITERION_REACH_MAX)
+        assert rep.verdict is Verdict.HOLDS and rep.quotient == IntPoly([1])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("took power sums for a refused check")
+
+        monkeypatch.setattr(LPolynomial, "power_sums", refuse)
+        for k, horizon, reach in [(2, CRITERION_REACH_MAX + 1, CRITERION_REACH_MAX + 1),
+                                  (k_max + 1, 1, 8 * k_max + 8)]:
+            with pytest.raises(ValueError, match=rf"^max\(horizon, k \* \(deg L_C \+ deg L_D\)\) = {reach} exceeds"):
+                check_main_theorem(L_D1, L_D1, k, horizon)
 
     def test_report_json_shape(self):
         rep = check_curves(dk_curve(1), dk_curve(2), 2, 6)

@@ -72,6 +72,30 @@ class TestMakeField:
         assert f.modulus == gfpoly.decode(self.DEFAULT_MODULI_2[m] | 1 << m, 2)
         assert f.generator == self.GENERATORS_2[m]
 
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_field_table_equals_the_search(self, m):
+        # the search that builds odd-p fields, run at p = 2
+        f = finite_fields.FiniteField(2, m)
+        assert f.modulus == finite_fields._default_modulus(2, m)
+        assert f.generator == f._find_generator()
+        assert f.mul(f.generator, f._generator_inv) == 1
+
+    def test_field_table_covers_exactly_the_bound(self):
+        assert sorted(finite_fields._GF2_FIELDS) == list(range(1, finite_fields.DEFAULT_MAX_M + 1))
+
+    def test_p2_build_runs_no_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("searched or factored")
+
+        monkeypatch.setattr(finite_fields, "_default_modulus", refuse)
+        monkeypatch.setattr(finite_fields, "factor_int", refuse)
+        monkeypatch.setattr(finite_fields.FiniteField, "_find_generator", refuse)
+        monkeypatch.setattr(gfpoly, "is_irreducible", refuse)
+        monkeypatch.setattr(gfpoly, "factor_int", refuse)
+        for m in range(1, finite_fields.DEFAULT_MAX_M + 1):
+            f = finite_fields.FiniteField(2, m)  # not the cached make_field
+            assert (f.order, len(f.modulus)) == (2**m, m + 1)
+
     @pytest.mark.parametrize("p,max_deg", [(2, 12), (3, 6), (5, 4)])
     def test_is_irreducible_matches_trial_division(self, p, max_deg):
         for deg in range(max_deg + 1):
@@ -361,6 +385,44 @@ class TestCharSum:
         assert whole == char_sum(field, D6_MAP)  # x = 0 is a pole
         for bounds in ([0, 1, n], [0, 777, 2048, 2049, n], [0, 99, 201, 3001, n - 1, n]):
             assert run(bounds) == whole
+
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_block_starts_fit_one_block(self, m):
+        # the starts of a chunk of blocks are the Frobenius images of the
+        # first powers of a block, so a chunk has at most one block's length
+        length = finite_fields._block_length(m)
+        blocks = -(-(2**m - 1) // length)
+        assert min(finite_fields._STARTS, blocks) <= length
+
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_frobenius_tables_match_pow_el(self, m):
+        field = make_field(2, m)
+        a = finite_fields._block_length(m).bit_length() - 1
+        rng = random.Random(m)
+        ys = [0, 1, field.generator] + [rng.randrange(field.order) for _ in range(40)]
+        got = finite_fields._xor_gather(field._frobenius_tables(a), np.array(ys, dtype=np.uint64))
+        assert got.tolist() == [field.pow_el(y, 1 << a) for y in ys]
+
+    @pytest.mark.parametrize("m", [7, 10])
+    def test_stream_subranges_equal_the_definition(self, monkeypatch, m):
+        # ranges that start past 0, with chunks and batches of blocks that
+        # do not divide the range (GF(2^10) has 16 blocks), each against
+        # its sum by definition
+        monkeypatch.setattr(finite_fields, "_BATCH", 3)
+        monkeypatch.setattr(finite_fields, "_STARTS", 5)
+        field = make_field(2, m)
+        oracle = oracles.tuple_field(2, m, field.modulus)
+        n = field.order - 1
+        powers = [(1,)]  # g^i, i < n
+        for _ in range(n - 1):
+            powers.append(oracle.mul(powers[-1], oracle.element(field.generator)))
+        cuts = sorted({0, 1, 63, 64, 65, 100, 101, 5 * 64 + 7, n // 2, n - 1, n} & set(range(n + 1)))
+        for f in (D6_MAP, _laurent([5, 2, -2, -7]), _laurent([3, -1, 0])):
+            exps = f.laurent_exponents()
+            signs = [1 - 2 * oracle.trace(oracles.eval_map(oracle, f, x)) for x in powers]
+            pieces = [finite_fields._stream_range(field, exps, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            assert pieces == [sum(signs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])], f
+            assert sum(pieces) + finite_fields._zero_point_term(field, f) == oracles.naive_char_sum(m, f)
 
     def test_small_field_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
