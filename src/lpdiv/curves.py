@@ -3,7 +3,8 @@
 Two models are supported:
 
 * ``ArtinSchreierCurve``: y^2 + y = f(x) over GF(2), f a rational map in
-  reduced form (every pole, including infinity, of odd order);
+  reduced form (every pole, including infinity, of odd order) with at
+  least one pole;
 * ``OddHyperellipticCurve``: y^2 + h(x) y = f(x) over GF(p) for odd p,
   with 4f + h^2 squarefree.
 
@@ -18,11 +19,11 @@ excluded x values, leaving N_m = 2^m + char_sum + (infinity term).
 For odd hyperelliptic curves each x carries 1 + chi(4f(x) + h(x)^2)
 points, chi the quadratic character.  One walk (``_odd_walk``) serves
 every field size: over a chunk of x = g^i, the digits of 4f + h^2 are one
-matmul of fixed digit rows of g^(e*j) by digit matrices over GF(p), and
-chi is a lookup in a bitmap of the squares g^(2i), filled by the same
-walk.  Memory is the bitmap (one byte per element) plus per-chunk rows;
-orders above ``POWER_TABLE_MAX`` = 2^30 are refused, so the bitmap stays
-within 1 GiB.
+matmul of fixed digit rows of g^(e*j) (``FiniteField.geometric_rows``) by
+digit matrices over GF(p), and chi is a lookup in a bitmap of the squares
+g^(2i), filled by the same walk.  Memory is the bitmap (one byte per
+element) plus per-chunk rows; orders above ``POWER_TABLE_MAX`` = 2^30 are
+refused, so the bitmap stays within 1 GiB.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ class ArtinSchreierCurve:
     def __post_init__(self):
         if self.f.p != 2:
             raise ValueError("Artin-Schreier model requires characteristic 2")
-        _pole_places(self.f)  # raises NotReduced on an even pole order
+        if not _pole_places(self.f):  # raises NotReduced on an even pole order
+            raise ValueError("right side f must have a pole (a constant f gives no curve)")
 
 
 @dataclass(frozen=True)
@@ -189,8 +191,8 @@ def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
     field = make_field(c.p, m)
     n = field.order - 1
     length = min(_ODD_CHUNK, n, 1 << (n.bit_length() + 5) // 2)  # about 6 sqrt(n), capped
-    # g^k for every k <= e * length, e a term of rhs or of x^2
-    powers = field.geometric_block(field.generator, max(len(rhs) - 1, 2) * length + 1)
+    # digits of g^k for every k <= e * length, e a term of rhs or of x^2
+    powers = field.geometric_rows(field.generator, max(len(rhs) - 1, 2) * length + 1)
     squares = np.zeros(field.order, dtype=bool)  # the nonzero squares g^(2i)
     for v in _odd_walk(field, powers, length, (0, 0, 1), n // 2):
         squares[v] = True
@@ -203,25 +205,23 @@ def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
 
 def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.GFPoly, count):
     """Codes of poly(g^i) for i < count, one array per chunk of ``length``
-    indices; powers[k] = g^k for every k <= deg(poly) * length.
+    indices; powers[k] is the digit row of g^k for every k <= deg(poly) *
+    length.
 
-    For i = s + j the digits of c*x^e are those of g^(e*j), rows gathered
+    For i = s + j the digits of c*x^e are those of g^(e*j), rows taken
     from powers, times the digit matrix of y -> c*g^(e*s)*y (advanced by
     that of g^(e*length) per chunk), so a chunk is one int64 matmul over
     all terms (numpy's own loop, not a BLAS with threads of its own): exact
     while (deg + 1) * m * p^2 stays below 2^63."""
     p, m = field.p, field.m
     terms = [(e, coef) for e, coef in enumerate(poly) if e and coef]
-    rows = np.empty((length, len(terms) * m), dtype=np.int64)
-    for k, (e, _) in enumerate(terms):
-        rows[:, k * m : (k + 1) * m] = field.bulk_decode(powers[: e * length : e])
+    rows = np.concatenate([powers[: e * length : e] for e, _ in terms], axis=1)
     mats = field.mul_matrices(field.bulk_decode(np.array([coef for _, coef in terms])))
-    jumps = field.mul_matrices(field.bulk_decode(powers[[e * length for e, _ in terms]]))
-    scale = p ** np.arange(m, dtype=np.int64)
+    jumps = field.mul_matrices(powers[[e * length for e, _ in terms]])
     for s in range(0, count, length):
         digits = rows[: count - s] @ mats.reshape(-1, m)
         digits[:, 0] += poly[0]
-        yield (digits % p) @ scale
+        yield field.bulk_encode(digits % p)
         mats = mats @ jumps % p
 
 

@@ -2,13 +2,20 @@
 for p = 2 and bulk digit arithmetic for odd p.
 
 Elements are plain ints: for p = 2 the bits are coordinates in the power
-basis of the modulus; for odd p the base-p digits are (``gfpoly.encode``).
-The only scalar operations are ``mul`` and ``pow_el``, which build the
-constants the bulk kernels start from; no map is evaluated one element at
-a time here (the test oracles do that, on arithmetic of their own).
-``bulk_decode``/``bulk_encode`` convert codes to digit arrays and back,
-and ``mul_matrices`` gives the m x m digit matrices over GF(p) of
-multiplications by constants.  A field is its (p, m): the modulus is
+basis of the modulus (``gfpoly`` works on coefficient tuples only, so this
+int encoding lives here); for odd p the base-p digits are
+(``gfpoly.encode``).  The only scalar operations are ``mul`` and
+``pow_el``, which build the constants the bulk kernels start from; no map
+is evaluated one element at a time here (the test oracles do that, on
+arithmetic of their own).  Each characteristic has one bulk
+representation: uint64 codes for p = 2, multiplied by a constant through
+byte tables (``_const_mul_block``), and int64 digit rows for odd p.
+``bulk_decode``/``bulk_encode`` convert codes to digit rows and back,
+``mul_matrices`` gives the m x m digit matrices over GF(p) of
+multiplications by constants, and ``geometric_rows`` the digit rows of
+the powers of a constant by doubling with those matrices: the odd-p
+counting walk starts from them (``geometric_block`` for odd p is their
+codes).  A field is its (p, m): the modulus is
 always the lexicographically first monic irreducible of degree m and the
 generator the least one, so ``make_field(p, m)`` caches fields by (p, m),
 and a worker process of the p = 2 kernel rebuilds its field from m alone.
@@ -85,7 +92,6 @@ from .gfpoly import factor_int
 
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
-_BLOCK = 1 << 16  # digit rows per step of an odd-p constant multiplication
 _TABLE_CHUNK = 1 << 15  # indices per step of the table kernel and its table walk
 _CHUNK = 1 << 27  # fewest indices per worker process of the packed kernel
 _STARTS = 1 << 12  # block starts of the packed kernel computed at once
@@ -252,8 +258,17 @@ class FiniteField:
     # -- scalar arithmetic ------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return gfpoly.mulmod2(a, b, self._mod_int)
+        if self.p == 2:  # a*b mod the modulus on codes: a*t^i for each set bit i of b
+            top, modulus = self._top_bit, self._mod_int
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= modulus
+            return r
         p = self.p
         prod = gfpoly.mul(gfpoly.decode(a, p), gfpoly.decode(b, p), p)
         return gfpoly.encode(gfpoly.mod(prod, self.modulus, p), p)
@@ -339,17 +354,11 @@ class FiniteField:
         return _xor_tables(np.array(rows, dtype=np.uint64))
 
     def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
+        """c*y for every code y of a uint64 array, p = 2."""
         if c == 0:
             return np.zeros_like(block)
         if c == 1:
             return block.copy()
-        if self.p != 2:
-            rows = self.mul_matrices(self.bulk_decode(np.array([c])))[0]
-            out = np.empty_like(block)
-            for lo in range(0, len(block), _BLOCK):
-                digits = self.bulk_decode(block[lo : lo + _BLOCK])
-                out[lo : lo + _BLOCK] = self.bulk_encode(digits @ rows % self.p)
-            return out
         return _xor_gather(self._byte_tables(c), block)
 
     def mul_matrices(self, digits: np.ndarray) -> np.ndarray:
@@ -409,12 +418,29 @@ class FiniteField:
         ``bulk_decode``."""
         return digits @ (self.p ** np.arange(self.m, dtype=np.int64))
 
+    def geometric_rows(self, ratio: int, length: int) -> np.ndarray:
+        """For odd p, the digit rows of ratio^k for k < length, shape
+        (length, m): by repeated doubling, each step multiplying the filled
+        prefix by the m x m digit matrix of ratio^filled, which is squared
+        after every step."""
+        out = np.zeros((length, self.m), dtype=np.int64)
+        out[:1, 0] = 1
+        step_matrix = self.mul_matrices(self.bulk_decode(np.array([ratio])))[0]
+        filled = 1
+        while filled < length:  # step_matrix is that of ratio^filled
+            step = min(filled, length - filled)
+            out[filled : filled + step] = out[:step] @ step_matrix % self.p
+            filled += step
+            step_matrix = step_matrix @ step_matrix % self.p
+        return out
+
     def geometric_block(self, ratio: int, length: int) -> np.ndarray:
-        """[ratio^0, ratio^1, ..., ratio^(length-1)]: the first 16 by scalar
-        products, then by repeated doubling, each step multiplying the filled
-        prefix by ratio^filled (byte tables for p = 2, an m x m digit matrix
-        over GF(p) for odd p, which cost more than scalar products below
-        16 elements)."""
+        """[ratio^0, ratio^1, ..., ratio^(length-1)] as uint64 codes.  For
+        p = 2 the first 16 by scalar products, then by repeated doubling,
+        each step multiplying the filled prefix by ratio^filled through its
+        byte tables; for odd p the codes of ``geometric_rows``."""
+        if self.p != 2:
+            return self.bulk_encode(self.geometric_rows(ratio, length)).astype(np.uint64)
         out = np.zeros(length, dtype=np.uint64)
         filled = min(length, 16)
         c = 1

@@ -3,9 +3,7 @@
 Polynomials are tuples of ints in [0, p), ascending by degree, with no
 trailing zeros; the zero polynomial is the empty tuple.  Everything here
 is exact and sized for small inputs (curve denominators, field moduli),
-not for bulk work.  Over GF(2), ``encode`` gives the int whose bit i is
-the coefficient of t^i; ``mulmod2`` and the p = 2 irreducibility test
-work on those ints, and ``FiniteField.mul`` (p = 2) uses ``mulmod2``.
+not for bulk work.
 """
 
 from __future__ import annotations
@@ -109,19 +107,12 @@ def is_irreducible(f: GFPoly, p: int) -> bool:
     """Rabin's test: x^(p^n) = x mod f, and x^(p^(n/r)) - x coprime to f
     for every prime r dividing n.  A root in GF(p) is a linear factor, so
     the p field points are tried first: most reducible candidates stop
-    there, before any modular power.
-
-    For p = 2 the test runs on the ``encode``d int: a zero constant term
-    (root 0) or an even number of terms (root 1) stops it, and the powers
-    x^(2^k) mod f come by squaring with ``mulmod2``, then a gcd in
-    GF(2)[t] on ints."""
+    there, before any modular power."""
     n = degree(f)
     if n < 1:
         return False
     if n == 1:
         return True
-    if p == 2:
-        return _is_irreducible2(encode(f, 2), n)
     if any(evaluate(f, a, p) == 0 for a in range(p)):
         return False
     x: GFPoly = (0, 1)
@@ -132,44 +123,6 @@ def is_irreducible(f: GFPoly, p: int) -> bool:
         if degree(gcd(h, f, p)) != 0:
             return False
     return True
-
-
-def _is_irreducible2(f: int, n: int) -> bool:
-    if not f & 1 or not f.bit_count() & 1:
-        return False
-    divisors = {n // r for r in factor_int(n)}
-    y = 2  # x^(2^k) mod f, from k = 0
-    for k in range(1, n + 1):
-        y = mulmod2(y, y, f)
-        if k in divisors and _gcd2(f, y ^ 2) != 1:
-            return False
-    return y == 2
-
-
-def mulmod2(a: int, b: int, f: int) -> int:
-    """a*b mod f in GF(2)[t], all as ``encode``d ints, with a of lower
-    degree than f: add a*t^i for each set bit i of b, reducing a*t^i as
-    it goes."""
-    top = 1 << (f.bit_length() - 1)
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a & top:
-            a ^= f
-    return r
-
-
-def _gcd2(a: int, b: int) -> int:
-    """gcd in GF(2)[t] of two ``encode``d ints."""
-    while b:
-        db = b.bit_length()
-        while a.bit_length() >= db:
-            a ^= b << (a.bit_length() - db)
-        a, b = b, a
-    return a
 
 
 def factor_int(n: int) -> dict[int, int]:

@@ -333,7 +333,9 @@ def fraction_divides(d: IntPoly, n: IntPoly):
 def roots_on_circle(lp: LPolynomial) -> bool:
     """Every root of L has modulus q^(-1/2) (so every reciprocal root has
     modulus sqrt(q)), to a relative tolerance of 1e-6, by numpy's
-    floating-point roots."""
+    floating-point roots.  It needs simple roots: repeated roots are
+    ill-conditioned (at genus 33, L_{D_6} with its repeated part of degree
+    8 fails), so such an L is checked through its squarefree factors."""
     if lp.poly.degree < 1:
         return True
     roots = np.roots([float(c) for c in reversed(lp.poly.coeffs)])

@@ -138,6 +138,16 @@ def test_criterion_6_property_suite():
         # functional-equation validation of every produced L-polynomial
         for lp in lps.values():
             assert validate_lpoly(lp).ok and oracles.roots_on_circle(lp)
+        # L_{D_6} (genus 33) has a repeated part of degree 8, where numeric
+        # roots are ill-conditioned: its roots are checked through that gcd
+        # with L' and the squarefree quotient, each with simple roots
+        l6 = lpoly_from_counts(2, 33, oracles.DK6_COUNTS)
+        assert validate_lpoly(l6).ok
+        repeated = oracles.fraction_gcd(l6.poly, l6.poly.derivative())
+        ok, simple = oracles.fraction_divides(repeated, l6.poly)
+        assert ok and (repeated.degree, simple.degree) == (8, 58)
+        for part in (repeated, simple):
+            assert oracles.roots_on_circle(LPolynomial(q=2, g=part.degree // 2, poly=part))
         for _ in range(50):
             q = rng.choice([2, 3, 4, 5])
             lp = oracles.make_weil_lpoly(rng, q, rng.randint(1, 6))

@@ -201,7 +201,10 @@ class TestErrors:
         '{"model": "as2", "f_num": [1, 0, 0, 1], "f_den": [0]}',
         '{"model": "as2", "f_num": [1, 0, 0, 1], "f_den": []}',
         '{"model": "as2", "f_num": [0, 0, 0, 1.5], "f_den": [1]}',
-    ], ids=["list", "string", "zero-den", "empty-den", "float-coeff"])
+        '{"model": "as2", "f_num": [0], "f_den": [1]}',
+        '{"model": "as2", "f_num": [1], "f_den": [1]}',
+        '{"model": "as2", "f_num": [], "f_den": [1]}',
+    ], ids=["list", "string", "zero-den", "empty-den", "float-coeff", "constant-0", "constant-1", "constant-empty"])
     def test_malformed_file_is_an_error_line(self, capsys, tmp_path, command, content):
         bad = tmp_path / "curve.json"
         bad.write_text(content)

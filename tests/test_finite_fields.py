@@ -217,6 +217,19 @@ class TestFieldArithmetic:
             want = [f.mul(c, y) for y in range(f.order)]
             assert f.bulk_encode(digits @ mats[c] % p).tolist() == want
 
+    @pytest.mark.parametrize("p,m", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+    @pytest.mark.parametrize("length", [0, 1, 2, 17, 100])
+    def test_geometric_rows_are_powers(self, p, m, length):
+        # the doubling against pow_el for every k; 100 > order for the
+        # smallest fields, so the rows also run past the group's order
+        f = make_field(p, m)
+        for ratio in (0, 1, f.generator):
+            rows = f.geometric_rows(ratio, length)
+            assert rows.shape == (length, m) and rows.dtype == np.int64
+            assert ((0 <= rows) & (rows < p)).all()
+            assert f.bulk_encode(rows).tolist() == [f.pow_el(ratio, k) for k in range(length)]
+            assert f.geometric_block(ratio, length).tolist() == f.bulk_encode(rows).tolist()
+
     def test_small_log_tables_capped(self, monkeypatch):
         monkeypatch.setattr(finite_fields, "LOG_TABLE_MAX", 8)
         with pytest.raises(TooLarge):
