@@ -191,22 +191,25 @@ def _count_hyper_odd(c: OddHyperellipticCurve, m: int) -> int:
     field = make_field(c.p, m)
     n = field.order - 1
     length = min(_ODD_CHUNK, n, 1 << (n.bit_length() + 5) // 2)  # about 6 sqrt(n), capped
+    tensor = field.mul_tensor()  # for every digit matrix of the count
     # digits of g^k for every k <= e * length, e a term of rhs or of x^2
-    powers = field.geometric_rows(field.generator, max(len(rhs) - 1, 2) * length + 1)
+    powers = field.geometric_rows(field.generator, max(len(rhs) - 1, 2) * length + 1, tensor)
     squares = np.zeros(field.order, dtype=bool)  # the nonzero squares g^(2i)
-    for v in _odd_walk(field, powers, length, (0, 0, 1), n // 2):
+    for v in _odd_walk(field, tensor, powers, length, (0, 0, 1), n // 2):
         squares[v] = True
     chi = lambda v: 0 if v == 0 else 1 if squares[v] else -1
     total = 1 + chi(rhs[0])  # x = 0
-    for v in _odd_walk(field, powers, length, rhs, n):
+    for v in _odd_walk(field, tensor, powers, length, rhs, n):
         total += int(np.count_nonzero(v == 0)) + 2 * int(np.count_nonzero(squares[v]))
     return total + (1 if gfpoly.degree(rhs) % 2 == 1 else 1 + chi(rhs[-1]))  # infinity
 
 
-def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.GFPoly, count):
+def _odd_walk(
+    field: FiniteField, tensor: np.ndarray, powers: np.ndarray, length: int, poly: gfpoly.GFPoly, count
+):
     """Codes of poly(g^i) for i < count, one array per chunk of ``length``
     indices; powers[k] is the digit row of g^k for every k <= deg(poly) *
-    length.
+    length, and tensor the field's ``mul_tensor()``.
 
     For i = s + j the digits of c*x^e are those of g^(e*j), rows taken
     from powers, times the digit matrix of y -> c*g^(e*s)*y (advanced by
@@ -216,8 +219,8 @@ def _odd_walk(field: FiniteField, powers: np.ndarray, length: int, poly: gfpoly.
     p, m = field.p, field.m
     terms = [(e, coef) for e, coef in enumerate(poly) if e and coef]
     rows = np.concatenate([powers[: e * length : e] for e, _ in terms], axis=1)
-    mats = field.mul_matrices(field.bulk_decode(np.array([coef for _, coef in terms])))
-    jumps = field.mul_matrices(powers[[e * length for e, _ in terms]])
+    mats = field.mul_matrices(field.bulk_decode(np.array([coef for _, coef in terms])), tensor)
+    jumps = field.mul_matrices(powers[[e * length for e, _ in terms]], tensor)
     for s in range(0, count, length):
         digits = rows[: count - s] @ mats.reshape(-1, m)
         digits[:, 0] += poly[0]

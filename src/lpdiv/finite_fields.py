@@ -4,21 +4,23 @@ for p = 2 and bulk digit arithmetic for odd p.
 Elements are plain ints: for p = 2 the bits are coordinates in the power
 basis of the modulus (``gfpoly`` works on coefficient tuples only, so this
 int encoding lives here); for odd p the base-p digits are
-(``gfpoly.encode``).  The only scalar operations are ``mul`` and
-``pow_el``, which build the constants the bulk kernels start from; no map
-is evaluated one element at a time here (the test oracles do that, on
-arithmetic of their own).  Each characteristic has one bulk
-representation: uint64 codes for p = 2, multiplied by a constant through
-byte tables (``_const_mul_block``), and int64 digit rows for odd p.
-``bulk_decode``/``bulk_encode`` convert codes to digit rows and back,
-``mul_matrices`` gives the m x m digit matrices over GF(p) of
-multiplications by constants, and ``geometric_rows`` the digit rows of
-the powers of a constant by doubling with those matrices: the odd-p
-counting walk starts from them (``geometric_block`` for odd p is their
-codes).  A field is its (p, m): the modulus is
-always the lexicographically first monic irreducible of degree m and the
-generator the least one, so ``make_field(p, m)`` caches fields by (p, m),
-and a worker process of the p = 2 kernel rebuilds its field from m alone.
+(``gfpoly.encode``).  The only scalar operations are ``mul``, ``pow_el``
+and, for p = 2, ``_square``, which build the constants the bulk kernels
+start from; no map is evaluated one element at a time here (the test
+oracles do that, on arithmetic of their own).  Each characteristic has
+one bulk representation: uint64 codes for p = 2, multiplied by constants
+through byte tables (``_mul_tables``, one build for any number of
+constants), and int64 digit rows for odd p.  ``bulk_decode``/
+``bulk_encode`` convert codes to digit rows and back, ``mul_matrices``
+gives the m x m digit matrices over GF(p) of multiplications by
+constants (from the digit tensor ``mul_tensor``, which an odd-p count
+builds once), and ``geometric_rows`` the digit rows of the powers of a
+constant by doubling with those matrices: the odd-p counting walk starts
+from them (``geometric_block`` for odd p is their codes).  A field is its
+(p, m): the modulus is always the lexicographically first monic
+irreducible of degree m and the generator the least one, so
+``make_field(p, m)`` caches fields by (p, m), and a worker process of the
+p = 2 kernel rebuilds its field from m alone.
 For odd p both are searched for (factoring p^m - 1 for the generator); for
 p = 2 they are read, with g^-1, from the table ``_GF2_FIELDS``, which the
 tests check against the search for every m, so a p = 2 field costs only
@@ -40,22 +42,27 @@ realizations:
   so small fields do not pay for long tables.  In block t each exponent
   contributes g^(e*i) = c_t * T_e[j] with T_e[j] = g^(e*j), j < L, fixed.
   Bit k of M(T_e[j]), over j, is a row of L bits packed 64 to a uint64
-  word, and Four-Russians tables (``_xor_tables``) hold the XOR of every
-  subset of 8 consecutive rows, so the L trace bits of a block are one
-  gather per byte of c_t and exponent, and the block adds L - 2*popcount.
-  The starts c_t come per chunk of ``_STARTS`` blocks: c_t of the chunk's
-  block s is its first c_t times g^(e*L*s) = (g^(e*s))^L, and a chunk has
-  at most L blocks for every m <= 34, so these are the images of T_e[s]
-  under the GF(2)-linear Frobenius map y -> y^L, one gather through its
-  byte tables (``_frobenius_tables``, built once per count) for every
-  exponent at once, then one constant multiplication per chunk.  A
-  negative exponent e raises g^-1 to -e.  Gathers run ``_BATCH`` blocks at
-  a time, and bits of the last block past the range end are masked, so
-  any index range [lo, hi) can be summed.  Memory is bounded by these
-  chunk sizes, not by the field.  Fields with more than ``_CHUNK`` = 2^27
-  nonzero elements are cut into ranges that run in parallel processes
-  (below that, starting the processes costs more than it saves); partial
-  sums are exact ints, so the result does not depend on the partitioning;
+  word, and Four-Russians tables (``_xor_tables``, one build for every
+  exponent) hold the XOR of every subset of 8 consecutive rows, so the L
+  trace bits of a block are one gather per byte of c_t and exponent, and
+  the block adds L - 2*popcount.  The starts c_t come per chunk of
+  ``_STARTS`` blocks: c_t of the chunk's block s is its first c_t times
+  G_e^s, G_e = g^(e*L), and a chunk has at most L blocks for every m <=
+  34.  So one ``geometric_block`` of the bases g^e and the G_e = (g^e)^L
+  (a Frobenius image, by squarings) gives every T_e and every chunk's
+  starts (``_block_powers``); its doubling steps are one gather each for
+  all these ratios at once, through one table of every doubling
+  constant.  A count builds three tables whatever L (the doubling
+  constants, the trace-dual masks, the bit rows), and one more per later
+  chunk, or for a range from lo > 0, to multiply the starts by its first
+  start.  A negative exponent e raises g^-1 to -e.  Gathers run
+  ``_BATCH`` blocks at a time, into two buffers held for the count, and
+  bits of the last block past the range end are masked, so any index
+  range [lo, hi) can be summed.  Memory is bounded by these chunk sizes,
+  not by the field.  Fields with more than ``_CHUNK`` = 2^27 nonzero
+  elements are cut into ranges that run in parallel processes (below
+  that, starting the processes costs more than it saves); partial sums
+  are exact ints, so the result does not depend on the partitioning;
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
   M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
@@ -201,28 +208,40 @@ class RationalMap:
         return tuple(e - j for e, c in enumerate(self.num) if c)
 
 
-def _xor_tables(rows: np.ndarray) -> np.ndarray:
-    """Four-Russians tables of a GF(2)-linear map given by the images
-    ``rows[k]`` of the basis bits 1 << k: tables[b, v] is the XOR of
-    rows[8b + i] over the set bits i of the byte v.  ``rows`` is a uint64
-    array of shape (k, ...); the tables have shape (ceil(k/8), 256, ...)."""
-    nbytes = (len(rows) + 7) // 8
-    padded = np.zeros((nbytes * 8,) + rows.shape[1:], dtype=np.uint64)
-    padded[: len(rows)] = rows
-    padded = padded.reshape((nbytes, 8, 1) + rows.shape[1:])
-    tables = np.zeros((nbytes, 256) + rows.shape[1:], dtype=np.uint64)
+def _xor_tables(rows: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Four-Russians tables of a GF(2)-linear map given by the images of the
+    basis bits 1 << k, ``rows`` a uint64 array whose axis ``axis`` runs
+    over k: that axis becomes the two axes (ceil(k/8), 256) of the tables,
+    and tables[..., b, v, ...] is the XOR of the rows 8b + i over the set
+    bits i of the byte v.  So a table of each of several maps is one build,
+    and tables[j] is the table of map j when the row axis is not the first."""
+    axis %= rows.ndim
+    pre, k, post = rows.shape[:axis], rows.shape[axis], rows.shape[axis + 1 :]
+    nbytes = (k + 7) // 8
+    padded = np.zeros(pre + (nbytes * 8,) + post, dtype=np.uint64)
+    padded[(slice(None),) * axis + (slice(0, k),)] = rows
+    padded = padded.reshape(pre + (nbytes, 8, 1) + post)
+    tables = np.empty(pre + (nbytes, 256) + post, dtype=np.uint64)
+    lead = (slice(None),) * (axis + 1)
+    tables[lead + (0,)] = 0
     for i in range(8):
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ padded[:, i]
+        low, high = lead + (slice(0, 1 << i),), lead + (slice(1 << i, 2 << i),)
+        np.bitwise_xor(tables[low], padded[lead + (i,)], out=tables[high])
     return tables
 
 
-def _xor_gather(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The map of ``_xor_tables`` applied to every code: the XOR over b of
-    tables[b][byte b of the code], in the tables' dtype.  The bytes are read
-    through a uint8 view of the codes in little-endian order, whatever the
-    host's, at the codes' own width (uint32 codes take half the traffic)."""
+def _code_bytes(codes: np.ndarray) -> np.ndarray:
+    """The bytes of each code, in little-endian order whatever the host's,
+    at the codes' own width: shape codes.shape + (itemsize,), uint8."""
     codes_le = np.ascontiguousarray(codes, dtype=codes.dtype.newbyteorder("<"))
-    code_bytes = codes_le.view(np.uint8).reshape(codes_le.shape + (codes_le.itemsize,))
+    return codes_le.view(np.uint8).reshape(codes_le.shape + (codes_le.itemsize,))
+
+
+def _xor_gather(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The map of ``_xor_tables`` (row axis first) applied to every code:
+    the XOR over b of tables[b][byte b of the code], in the tables' dtype
+    (uint32 codes take half the traffic of uint64)."""
+    code_bytes = _code_bytes(codes)
     out = np.take(tables[0], code_bytes[..., 0], axis=0)
     for b in range(1, len(tables)):
         out ^= np.take(tables[b], code_bytes[..., b], axis=0)
@@ -248,6 +267,7 @@ class FiniteField:
             self._top_bit = 1 << m
             self._mod_int = low | self._top_bit
             self.modulus = gfpoly.decode(self._mod_int, 2)
+            self._low_terms = tuple(i for i in range(m) if low >> i & 1)  # t^m = sum of t^i
             self._dual_masks = self._build_dual_masks()
         else:  # t^i mod the modulus, i < 2m - 1: y -> c*y maps t^j to sum c_k t^(j+k)
             self.modulus = _default_modulus(p, m)
@@ -273,15 +293,36 @@ class FiniteField:
         prod = gfpoly.mul(gfpoly.decode(a, p), gfpoly.decode(b, p), p)
         return gfpoly.encode(gfpoly.mod(prod, self.modulus, p), p)
 
+    def _square(self, a: int) -> int:
+        """a*a for p = 2 without the bit-serial ``mul``: a polynomial over
+        GF(2) squares term by term, so bit i of a moves to bit 2i (read as
+        base 4, the binary digits of a spread out), and the terms h*t^m of
+        degree m and up fold back as h times the modulus's low terms."""
+        x = int(format(a, "b"), 4)
+        while x >> self.m:
+            h = x >> self.m
+            x &= self._top_bit - 1
+            for i in self._low_terms:
+                x ^= h << i
+        return x
+
+    def _frobenius(self, y: int, a: int) -> int:
+        """y^(2^a) for p = 2: a chain of ``_square``."""
+        for _ in range(a):
+            y = self._square(y)
+        return y
+
     def pow_el(self, a: int, e: int) -> int:
         if e < 0:
             raise ValueError("exponent must be >= 0")
+        square = self._square if self.p == 2 else lambda y: self.mul(y, y)
         r = 1
         while e:
             if e & 1:
                 r = self.mul(r, a)
-            a = self.mul(a, a)
             e >>= 1
+            if e:
+                a = square(a)
         return r
 
     def __repr__(self):
@@ -332,42 +373,38 @@ class FiniteField:
 
     # -- bulk kernels -------------------------------------------------------
 
-    def _byte_tables(self, c: int) -> np.ndarray:
-        """Four-Russians tables of y -> c*y: rows c * x^k for k < m, so
-        multiplying a whole uint64 array by c is a few table gathers."""
+    def _mul_tables(self, consts) -> np.ndarray:
+        """Four-Russians tables of y -> c*y for every constant c of a
+        sequence (p = 2), shape (len(consts), ceil(m/8), 256): tables[j] is
+        the table of consts[j], and one build serves them all.  Their rows
+        c*t^k, k < m, come from one Python int holding every c in a 64-bit
+        lane: a shift multiplies each lane by t, and the lanes' bit m,
+        times the modulus, reduces them all at once."""
+        lanes = len(consts)
+        x = int.from_bytes(np.asarray(consts, dtype="<u8").tobytes(), "little")
+        ones = int.from_bytes((b"\x01" + bytes(7)) * lanes, "little")  # bit 0 of every lane
         rows = []
         for _ in range(self.m):
-            rows.append(c)
-            c <<= 1
-            if c & self._top_bit:
-                c ^= self._mod_int
-        return _xor_tables(np.array(rows, dtype=np.uint64))
+            rows.append(x.to_bytes(8 * lanes, "little"))
+            x <<= 1
+            x ^= (x >> self.m & ones) * self._mod_int
+        rows = np.frombuffer(b"".join(rows), dtype="<u8").reshape(self.m, lanes)
+        return _xor_tables(rows.T, axis=-1)
 
-    def _frobenius_tables(self, a: int) -> np.ndarray:
-        """Four-Russians tables of the GF(2)-linear map y -> y^(2^a): rows
-        (t^k)^(2^a) = z^k for k < m, z = t^(2^a)."""
-        rows = [1]
-        if self.m > 1:  # GF(2) has the one basis element 1
-            z = self.pow_el(2, 1 << a)
-            for _ in range(self.m - 1):
-                rows.append(self.mul(rows[-1], z))
-        return _xor_tables(np.array(rows, dtype=np.uint64))
-
-    def _const_mul_block(self, c: int, block: np.ndarray) -> np.ndarray:
-        """c*y for every code y of a uint64 array, p = 2."""
-        if c == 0:
-            return np.zeros_like(block)
-        if c == 1:
-            return block.copy()
-        return _xor_gather(self._byte_tables(c), block)
-
-    def mul_matrices(self, digits: np.ndarray) -> np.ndarray:
-        """For odd p, the m x m digit matrix over GF(p) of y -> c*y for each
-        digit row of c (shape (..., m) -> (..., m, m)): the digits of c*y
-        are digits(y) @ matrix mod p."""
+    def mul_tensor(self) -> np.ndarray:
+        """For odd p, the digits of t^(j+k) at [k, j] (shape (m, m, m)): the
+        digit matrix of y -> c*y is digits(c) @ tensor (``mul_matrices``).
+        Built on every call and not kept, so a count builds it once and
+        passes it on."""
         k = np.arange(self.m)
-        tensor = self.bulk_decode(np.array(self._reduced))[k[:, None] + k]  # [k, j]: t^(j+k)
-        return np.tensordot(digits, tensor, axes=1) % self.p
+        return self.bulk_decode(np.array(self._reduced))[k[:, None] + k]
+
+    def mul_matrices(self, digits: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+        """For odd p, the m x m digit matrix over GF(p) of y -> c*y for each
+        digit row of c (shape (..., m) -> (..., m, m)), from the field's
+        ``mul_tensor()``: the digits of c*y are digits(y) @ matrix mod p."""
+        m = self.m
+        return (digits @ tensor.reshape(m, m * m)).reshape(digits.shape[:-1] + (m, m)) % self.p
 
     def bulk_trace_dual(self, block: np.ndarray) -> np.ndarray:
         """``trace_dual`` of every code in a uint64 array of any shape: M(c) is
@@ -379,11 +416,13 @@ class FiniteField:
         """(exps, duals) for p = 2: exps[i] = g^i for i < order - 1 and
         duals[y] = M(1/y), with duals[0] = 0, so Tr(x/y) = parity(x &
         duals[y]); both uint32, 8 bytes per element.  One walk of g fills
-        exps chunk by chunk (a geometric block of ``_TABLE_CHUNK`` powers,
-        times g^lo per chunk), and one more pass over exps fills duals.
-        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so codes
-        fit uint32 and indices int32; odd p raises ValueError.  Built on
-        every call and not kept, so the caller owns and drops them."""
+        exps chunk by chunk: a geometric block of ``_TABLE_CHUNK`` powers
+        times g^lo, the chunk starts g^lo being a geometric block of their
+        own, multiplied through one table build (``_mul_tables``).  One
+        more pass over exps fills duals.  Orders above ``POWER_TABLE_MAX``
+        = 2^30 raise TooLarge, so codes fit uint32 and indices int32; odd p
+        raises ValueError.  Built on every call and not kept, so the caller
+        owns and drops them."""
         if self.order > POWER_TABLE_MAX:
             raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
         if self.p != 2:
@@ -391,13 +430,11 @@ class FiniteField:
         n = self.order - 1
         chunk = min(_TABLE_CHUNK, n)
         block = self.geometric_block(self.generator, chunk)
-        jump = self.pow_el(self.generator, chunk)
+        starts = self._mul_tables(self.geometric_block(self.pow_el(self.generator, chunk), -(-n // chunk)))
         exps = np.empty(n, dtype=np.uint32)
-        c = 1
-        for lo in range(0, n, chunk):
+        for lo, start in zip(range(0, n, chunk), starts):
             # g^i for lo <= i < lo + chunk
-            exps[lo : lo + chunk] = self._const_mul_block(c, block[: n - lo])
-            c = self.mul(c, jump)
+            exps[lo : lo + chunk] = _xor_gather(start, block[: n - lo])
         # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1
         masks = _xor_tables(np.array(self._dual_masks, dtype=np.uint64)).astype(np.uint32)
         dual_table = np.zeros(self.order, dtype=np.uint32)
@@ -418,14 +455,14 @@ class FiniteField:
         ``bulk_decode``."""
         return digits @ (self.p ** np.arange(self.m, dtype=np.int64))
 
-    def geometric_rows(self, ratio: int, length: int) -> np.ndarray:
+    def geometric_rows(self, ratio: int, length: int, tensor: np.ndarray) -> np.ndarray:
         """For odd p, the digit rows of ratio^k for k < length, shape
         (length, m): by repeated doubling, each step multiplying the filled
-        prefix by the m x m digit matrix of ratio^filled, which is squared
-        after every step."""
+        prefix by the m x m digit matrix of ratio^filled (from the field's
+        ``mul_tensor()``), which is squared after every step."""
         out = np.zeros((length, self.m), dtype=np.int64)
         out[:1, 0] = 1
-        step_matrix = self.mul_matrices(self.bulk_decode(np.array([ratio])))[0]
+        step_matrix = self.mul_matrices(self.bulk_decode(np.array([ratio])), tensor)[0]
         filled = 1
         while filled < length:  # step_matrix is that of ratio^filled
             step = min(filled, length - filled)
@@ -434,25 +471,45 @@ class FiniteField:
             step_matrix = step_matrix @ step_matrix % self.p
         return out
 
-    def geometric_block(self, ratio: int, length: int) -> np.ndarray:
-        """[ratio^0, ratio^1, ..., ratio^(length-1)] as uint64 codes.  For
-        p = 2 the first 16 by scalar products, then by repeated doubling,
-        each step multiplying the filled prefix by ratio^filled through its
-        byte tables; for odd p the codes of ``geometric_rows``."""
+    def geometric_block(self, ratio, length: int) -> np.ndarray:
+        """[ratio^0, ratio^1, ..., ratio^(length-1)] as uint64 codes, or for
+        a sequence of ratios one such row for each, shape (ratios, length).
+        For p = 2 by doubling: step s multiplies the first 2^s powers of
+        every ratio by its ratio^(2^s), all these constants coming from
+        squaring chains (``_square``) and multiplied through one table
+        build (``_mul_tables``), so a step is one gather for every ratio.
+        For odd p the codes of ``geometric_rows``."""
+        ratios = [int(r) for r in np.atleast_1d(ratio)]
         if self.p != 2:
-            return self.bulk_encode(self.geometric_rows(ratio, length)).astype(np.uint64)
-        out = np.zeros(length, dtype=np.uint64)
-        filled = min(length, 16)
-        c = 1
-        for i in range(filled):
-            out[i] = c
-            c = self.mul(c, ratio)
-        while filled < length:  # c = ratio^filled
-            step = min(filled, length - filled)
-            out[filled : filled + step] = self._const_mul_block(c, out[:step])
-            filled += step
-            c = self.mul(c, c)
-        return out
+            tensor = self.mul_tensor()
+            rows = [self.bulk_encode(self.geometric_rows(r, length, tensor)) for r in ratios]
+            out = np.array(rows, dtype=np.uint64)
+            return out if np.ndim(ratio) else out[0]
+        steps = max(length - 1, 0).bit_length()  # doublings up to length
+        out = np.zeros((length, len(ratios)), dtype=np.uint64)  # [k, ratio], so a prefix is contiguous
+        out[:1] = 1
+        if steps:
+            consts = []
+            for r in ratios:  # r^(2^s) for s < steps
+                consts.append(r)
+                for _ in range(steps - 1):
+                    consts.append(self._square(consts[-1]))
+            tables = self._mul_tables(consts)
+            flat, nbytes = tables.reshape(-1), tables.shape[1]
+            # per byte b, where the table of each ratio's r^(2^s), s = 0, starts
+            offsets = (np.arange(nbytes)[:, None] + np.arange(len(ratios)) * steps * nbytes) * 256
+            filled = 1
+            while filled < length:  # offsets point at the tables of r^filled
+                step = min(filled, length - filled)
+                code_bytes = _code_bytes(out[:step])
+                new = out[filled : filled + step]  # indices in range: "clip" writes out= unbuffered
+                np.take(flat, code_bytes[..., 0] + offsets[0], out=new, mode="clip")
+                for b in range(1, nbytes):
+                    new ^= np.take(flat, code_bytes[..., b] + offsets[b])
+                filled += step
+                offsets += nbytes * 256
+        out = np.ascontiguousarray(out.T)
+        return out if np.ndim(ratio) else out[0]
 
     # -- small-field log tables (odd p) -------------------------------------
 
@@ -608,47 +665,78 @@ def _block_length(m: int) -> int:
     return 1 << min(12, max(6, (m + 1) // 2))
 
 
-def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int) -> int:
-    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi."""
-    if not exponents or hi == lo:
-        return hi - lo  # f = 0, or nothing to sum
+def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, lo: int, blocks: int):
+    """The constants of the packed kernel for ``blocks`` blocks of
+    ``length`` indices from lo: (powers, chunks), powers[e][j] = g^(e*j) for
+    j < length, and chunks an iterator over chunks of ``_STARTS`` blocks,
+    each the starts c_t = g^(e*(lo + t*length)) of its blocks t, one row
+    per exponent.  c_t for a chunk is its first c_t times G_e^s, s <
+    ``_STARTS``, G_e = g^(e*length) = (g^e)^length, so one geometric block
+    gives the powers and, when a chunk has more than one block, the powers
+    of every G_e; a later chunk or lo > 0 multiplies them through one table
+    build per chunk."""
     n = field.order - 1
-    length = _block_length(field.m)
-    blocks = -(-(hi - lo) // length)
     per_chunk = min(_STARTS, blocks)  # <= length for every m <= DEFAULT_MAX_M
-    shifts = np.arange(field.m, dtype=np.uint64)[:, None]
-    # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], and
-    # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): the rows are the bits of M(T_e[j])
     bases = [
         field.pow_el(field.generator, e % n) if e >= 0 else field.pow_el(field._generator_inv, -e % n)
         for e in exponents
     ]
-    powers = np.stack([field.geometric_block(b, length) for b in bases])
-    # c_t for a chunk of blocks is its first c_t times g^(e*length*s), s <
-    # per_chunk <= length, and g^(e*length*s) = (g^(e*s))^length: the
-    # Frobenius y -> y^length of the first powers, for every exponent at once
-    steps = _xor_gather(field._frobenius_tables(length.bit_length() - 1), powers[:, :per_chunk])
-    tables, jumps, firsts = [], [], []
-    for base, row, step, masks in zip(bases, powers, steps, field.bulk_trace_dual(powers)):
-        bits = ((masks >> shifts) & np.uint64(1)).astype(np.uint8)
-        tables.append(_xor_tables(np.packbits(bits, axis=1, bitorder="little").view(np.uint64)))
-        # the last power of each block times g^e is the next power
-        ratio = field.mul(int(row[-1]), base)  # g^(e*length)
-        jumps.append(field.mul(int(step[-1]), ratio))  # g^(e*length*per_chunk)
-        firsts.append(field.pow_el(base, lo))  # 1 when lo = 0
-    ones = 0
-    for t0 in range(0, blocks, per_chunk):
-        cnt = min(per_chunk, blocks - t0)
-        starts = [field._const_mul_block(c, step[:cnt]) for c, step in zip(firsts, steps)]
-        firsts = [field.mul(c, jump) for c, jump in zip(firsts, jumps)]
+    giants = [field._frobenius(base, length.bit_length() - 1) for base in bases] if per_chunk > 1 else []
+    powers = field.geometric_block(bases + giants, length)
+    steps = powers[len(bases) :, :per_chunk] if giants else powers[:, :1]
+
+    def chunks():
+        firsts = [field.pow_el(base, lo) for base in bases]  # 1 when lo = 0
+        if blocks > per_chunk:  # a chunk's last start times G_e is the next chunk's first
+            jumps = [field.mul(int(step[-1]), giant) for step, giant in zip(steps, giants)]
+        for t0 in range(0, blocks, per_chunk):
+            starts = steps[:, : min(per_chunk, blocks - t0)]
+            if any(c != 1 for c in firsts):
+                starts = np.array([_xor_gather(t, row) for t, row in zip(field._mul_tables(firsts), starts)])
+            yield starts
+            if t0 + per_chunk < blocks:
+                firsts = [field.mul(c, jump) for c, jump in zip(firsts, jumps)]
+
+    return powers[: len(bases)], chunks()
+
+
+def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int) -> int:
+    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi."""
+    if not exponents or hi == lo:
+        return hi - lo  # f = 0, or nothing to sum
+    m, length = field.m, _block_length(field.m)
+    blocks = -(-(hi - lo) // length)
+    # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], T_e[j] = g^(e*j)
+    powers, chunks = _block_powers(field, exponents, length, lo, blocks)
+    # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): bit k of M(T_e[j]), over
+    # j, packed 64 to a word, is row k of exponent e's tables
+    nbytes = (m + 7) // 8
+    duals = _code_bytes(field.bulk_trace_dual(powers))[..., :nbytes]  # [e, j, byte]
+    masks = np.ascontiguousarray(duals.transpose(0, 2, 1))
+    bits = (masks[:, :, None] >> np.arange(8, dtype=np.uint8)[:, None]) & np.uint8(1)  # [e, byte, bit, j]
+    rows = np.packbits(bits.reshape(len(powers), 8 * nbytes, length)[:, :m], axis=-1, bitorder="little")
+    tables = _xor_tables(rows.view(np.uint64), axis=1)
+    # a block's trace bits are the XOR over e and b of tables[e][b][byte b
+    # of c_t], gathered into two buffers held for the count, not into a new
+    # array per gather (every byte is a row, and mode="clip" lets np.take
+    # write out= unbuffered)
+    acc_buffer, part_buffer = np.empty((2, min(_BATCH, blocks), tables.shape[-1]), dtype=np.uint64)
+    ones, t0 = 0, 0  # t0: the chunk's first block
+    for starts in chunks:
+        cnt = starts.shape[1]
         for s in range(0, cnt, _BATCH):
-            acc = _xor_gather(tables[0], starts[0][s : s + _BATCH])
-            for table, c in zip(tables[1:], starts[1:]):
-                acc ^= _xor_gather(table, c[s : s + _BATCH])
+            acc, part = acc_buffer[: cnt - s], part_buffer[: cnt - s]
+            for e, (table, c) in enumerate(zip(tables, starts)):
+                code_bytes = _code_bytes(c[s : s + _BATCH])
+                for b in range(len(table)):  # the first gather sets acc, the others XOR into it
+                    np.take(table[b], code_bytes[..., b], axis=0, out=part if e or b else acc, mode="clip")
+                    if e or b:
+                        acc ^= part
             if t0 + s + len(acc) == blocks:  # the last block stops at hi
                 tail = hi - lo - (blocks - 1) * length
                 acc[-1] &= np.packbits(np.arange(length) < tail, bitorder="little").view(np.uint64)
             ones += int(np.bitwise_count(acc).sum())
+        t0 += cnt
     return hi - lo - 2 * ones
 
 

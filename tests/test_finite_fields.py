@@ -31,6 +31,26 @@ X5_PLUS_INV = RationalMap(2, (1, 0, 0, 0, 0, 0, 1), (0, 1))  # x^5 + 1/x
 D6_MAP = dk_map(6)  # x^65 + 1/x: exponent 65 >= 2^m - 1 for m <= 6
 
 
+def _mul_power(field, a: int, e: int) -> int:
+    """a^e by square-and-multiply through ``mul`` alone, e >= 0."""
+    r = 1
+    while e:
+        if e & 1:
+            r = field.mul(r, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return r
+
+
+def _running_products(field, a: int, count: int, start: int = 1) -> list[int]:
+    """[start * a^k for k < count], one ``mul`` per step."""
+    out = []
+    for _ in range(count):
+        out.append(start)
+        start = field.mul(start, a)
+    return out
+
+
 def _laurent(terms) -> RationalMap:
     """Sum of x^e over the exponents in terms, as num / x^j."""
     j = max(0, -min(terms))
@@ -212,7 +232,7 @@ class TestFieldArithmetic:
     def test_mul_matrices_exhaustive(self, p, m):
         f = make_field(p, m)
         digits = f.bulk_decode(np.arange(f.order))
-        mats = f.mul_matrices(digits)
+        mats = f.mul_matrices(digits, f.mul_tensor())
         for c in range(f.order):
             want = [f.mul(c, y) for y in range(f.order)]
             assert f.bulk_encode(digits @ mats[c] % p).tolist() == want
@@ -224,11 +244,55 @@ class TestFieldArithmetic:
         # smallest fields, so the rows also run past the group's order
         f = make_field(p, m)
         for ratio in (0, 1, f.generator):
-            rows = f.geometric_rows(ratio, length)
+            rows = f.geometric_rows(ratio, length, f.mul_tensor())
             assert rows.shape == (length, m) and rows.dtype == np.int64
             assert ((0 <= rows) & (rows < p)).all()
             assert f.bulk_encode(rows).tolist() == [f.pow_el(ratio, k) for k in range(length)]
             assert f.geometric_block(ratio, length).tolist() == f.bulk_encode(rows).tolist()
+
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_square_and_mul_tables_match_mul(self, m):
+        field = make_field(2, m)
+        rng = random.Random(m)
+        ys = [0, 1, field.generator, field.order - 1] + [rng.randrange(field.order) for _ in range(60)]
+        assert [field._square(y) for y in ys] == [field.mul(y, y) for y in ys]
+        consts = [0, 1, field.generator, field.order - 1] + [rng.randrange(field.order) for _ in range(5)]
+        tables = field._mul_tables(consts)
+        assert tables.shape == (len(consts), (m + 7) // 8, 256)
+        codes = np.array(ys, dtype=np.uint64)
+        for c, table in zip(consts, tables):
+            assert finite_fields._xor_gather(table, codes).tolist() == [field.mul(c, y) for y in ys]
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 5), (2, 9), (2, 17), (2, 34), (3, 3), (5, 2)])
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 64, 100])
+    def test_geometric_block_of_several_ratios(self, p, m, length):
+        # one row per ratio, each equal to its running products and to the
+        # block of that ratio alone; 0 and 1 among the ratios
+        field = make_field(p, m)
+        rng = random.Random(p * 100 + m)
+        ratios = [0, 1, field.generator] + [rng.randrange(field.order) for _ in range(2)]
+        rows = field.geometric_block(ratios, length)
+        assert rows.shape == (len(ratios), length) and rows.dtype == np.uint64
+        for r, row in zip(ratios, rows):
+            assert row.tolist() == _running_products(field, r, length)
+            assert field.geometric_block(r, length).tolist() == row.tolist()
+
+    def test_odd_count_builds_one_tensor(self, monkeypatch):
+        # the digit tensor of y -> c*y is built once per count and shared by
+        # the powers and both walks, not rebuilt per digit matrix
+        built = []
+        mul_tensor = finite_fields.FiniteField.mul_tensor
+
+        def counted(self):
+            built.append(1)
+            return mul_tensor(self)
+
+        monkeypatch.setattr(finite_fields.FiniteField, "mul_tensor", counted)
+        curve = OddHyperellipticCurve(5, (0, 1), (2, 1, 0, 3, 0, 1))
+        for m in (1, 2, 3):
+            built.clear()
+            assert count_points(curve, m) == oracles.naive_count_hyper(curve, m)
+            assert len(built) == 1
 
     def test_small_log_tables_capped(self, monkeypatch):
         monkeypatch.setattr(finite_fields, "LOG_TABLE_MAX", 8)
@@ -413,8 +477,89 @@ class TestCharSum:
         a = finite_fields._block_length(m).bit_length() - 1
         rng = random.Random(m)
         ys = [0, 1, field.generator] + [rng.randrange(field.order) for _ in range(40)]
-        got = finite_fields._xor_gather(field._frobenius_tables(a), np.array(ys, dtype=np.uint64))
-        assert got.tolist() == [field.pow_el(y, 1 << a) for y in ys]
+        # the Frobenius y -> y^(2^a) that raises each base to its block
+        # start ratio, a chain of squarings, against a chain of products
+        want = []
+        for y in ys:
+            for _ in range(a):
+                y = field.mul(y, y)
+            want.append(y)
+        assert [field._frobenius(y, a) for y in ys] == want
+
+    @staticmethod
+    def _exponent_sets(n: int):
+        # 1, 2 and 3 exponents at once: negative, at least n, = 0 mod n
+        return ((-1,), (n + 5, -3), (65, 0, -n - 2), (n, -2 * n, 7))
+
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_block_powers_equal_running_products(self, monkeypatch, m):
+        # the powers g^(e*j), j < L, and the block starts g^(e*(lo + t*L))
+        # of the packed kernel against running products through ``mul``,
+        # from lo > 0 over 7 blocks in chunks of 3, so a later chunk starts
+        # from the jump of the one before
+        monkeypatch.setattr(finite_fields, "_STARTS", 3)
+        field = make_field(2, m)
+        n, length = field.order - 1, finite_fields._block_length(m)
+        rng = random.Random(m)
+        for exponents in self._exponent_sets(n):
+            lo = rng.randrange(1, n) if n > 1 else 0
+            powers, chunks = finite_fields._block_powers(field, exponents, length, lo, 7)
+            starts = np.concatenate(list(chunks), axis=1)
+            assert powers.shape == (len(exponents), length) and starts.shape == (len(exponents), 7)
+            for e, row, row_starts in zip(exponents, powers, starts):
+                base = _mul_power(field, field.generator, e % n)  # g^-k = g^(n - k)
+                want = _running_products(field, base, length + 1)
+                assert row.tolist() == want[:length], (m, e)
+                first = _mul_power(field, base, lo)
+                assert row_starts.tolist() == _running_products(field, want[length], 7, first), (m, e)
+
+    @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
+    def test_stream_range_with_partial_last_block_equals_the_definition(self, monkeypatch, m):
+        # a range from lo > 0 over two whole blocks and a partial third
+        # (the rest of the group where it is shorter), batches of one block
+        # and chunks of two, against signs from running products through
+        # ``mul`` and the trace mask of 1
+        monkeypatch.setattr(finite_fields, "_STARTS", 2)
+        monkeypatch.setattr(finite_fields, "_BATCH", 1)
+        field = make_field(2, m)
+        n, length = field.order - 1, finite_fields._block_length(m)
+        rng = random.Random(-m)
+        lo = rng.randrange(1, n) if n > 1 else 0
+        hi = min(n, lo + 2 * length + rng.randrange(1, length))
+        for exponents in self._exponent_sets(n):
+            values = [0] * (hi - lo)
+            for e in exponents:
+                base = _mul_power(field, field.generator, e % n)
+                for k, y in enumerate(_running_products(field, base, hi - lo, _mul_power(field, base, lo))):
+                    values[k] ^= y
+            want = sum(1 - 2 * trace(field, y) for y in values)
+            assert finite_fields._stream_range(field, exponents, lo, hi) == want, (m, exponents)
+
+    @pytest.mark.parametrize("m", [6, 16, 24])
+    def test_packed_count_set_up_budget(self, monkeypatch, m):
+        # A count of D_6 (two exponents) builds three tables whatever the
+        # block length L (64, 256 and 4096 here): one of every doubling
+        # constant, one of the trace-dual masks, one of the bit rows.  Its
+        # scalar products raise the bases to their exponents; squarings do
+        # not go through ``mul``, and no doubling step builds a table.
+        field = make_field(2, m)
+        want = char_sum(field, D6_MAP, threads=1)
+        builds, products = [], []
+        xor_tables, mul = finite_fields._xor_tables, finite_fields.FiniteField.mul
+
+        def counted_tables(*args, **kwargs):
+            builds.append(1)
+            return xor_tables(*args, **kwargs)
+
+        def counted_mul(self, a, b):
+            products.append(1)
+            return mul(self, a, b)
+
+        monkeypatch.setattr(finite_fields, "_xor_tables", counted_tables)
+        monkeypatch.setattr(finite_fields.FiniteField, "mul", counted_mul)
+        assert char_sum(field, D6_MAP, threads=1) == want
+        assert len(builds) == 3
+        assert len(products) <= 4
 
     @pytest.mark.parametrize("m", [7, 10])
     def test_stream_subranges_equal_the_definition(self, monkeypatch, m):
