@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True)
         if horizon:
             p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="parallel workers (default: CPUs this process may run on)")
+        p.add_argument("--threads", type=int, default=None, help="threads of the p = 2 Laurent-map kernel (default: CPUs this process may run on)")
         p.add_argument("--format", dest="fmt", choices=("table", "json"), default="json")
         return p
 

@@ -19,12 +19,11 @@ constant by doubling with those matrices: the odd-p counting walk starts
 from them (``geometric_block`` for odd p is their codes).  A field is its
 (p, m): the modulus is always the lexicographically first monic
 irreducible of degree m and the generator the least one, so
-``make_field(p, m)`` caches fields by (p, m), and a worker process of the
-p = 2 kernel rebuilds its field from m alone.
-For odd p both are searched for (factoring p^m - 1 for the generator); for
-p = 2 they are read, with g^-1, from the table ``_GF2_FIELDS``, which the
-tests check against the search for every m, so a p = 2 field costs only
-its O(m^2) trace masks.  A ``FiniteField`` is immutable after
+``make_field(p, m)`` caches fields by (p, m).  For odd p both are
+searched for (factoring p^m - 1 for the generator); for p = 2 they are
+read, with g^-1, from the table ``_GF2_FIELDS``, which the tests check
+against the search for every m, so a p = 2 field costs only its O(m^2)
+trace masks.  A ``FiniteField`` is immutable after
 construction and safe to share.  No field of degree above the enumeration
 bound ``DEFAULT_MAX_M`` = 34 can be built, so no count beyond it can
 start.
@@ -41,28 +40,31 @@ realizations:
   into blocks of L = 2^ceil(m/2), within [64, 4096] (``_block_length``),
   so small fields do not pay for long tables.  In block t each exponent
   contributes g^(e*i) = c_t * T_e[j] with T_e[j] = g^(e*j), j < L, fixed.
-  Bit k of M(T_e[j]), over j, is a row of L bits packed 64 to a uint64
-  word, and Four-Russians tables (``_xor_tables``, one build for every
-  exponent) hold the XOR of every subset of 8 consecutive rows, so the L
-  trace bits of a block are one gather per byte of c_t and exponent, and
-  the block adds L - 2*popcount.  The starts c_t come per chunk of
-  ``_STARTS`` blocks: c_t of the chunk's block s is its first c_t times
-  G_e^s, G_e = g^(e*L), and a chunk has at most L blocks for every m <=
-  34.  So one ``geometric_block`` of the bases g^e and the G_e = (g^e)^L
-  (a Frobenius image, by squarings) gives every T_e and every chunk's
-  starts (``_block_powers``); its doubling steps are one gather each for
-  all these ratios at once, through one table of every doubling
-  constant.  A count builds three tables whatever L (the doubling
-  constants, the trace-dual masks, the bit rows), and one more per later
-  chunk, or for a range from lo > 0, to multiply the starts by its first
-  start.  A negative exponent e raises g^-1 to -e.  Gathers run
-  ``_BATCH`` blocks at a time, into two buffers held for the count, and
-  bits of the last block past the range end are masked, so any index
-  range [lo, hi) can be summed.  Memory is bounded by these chunk sizes,
-  not by the field.  Fields with more than ``_CHUNK`` = 2^27 nonzero
-  elements are cut into ranges that run in parallel processes (below
-  that, starting the processes costs more than it saves); partial sums
-  are exact ints, so the result does not depend on the partitioning;
+  Bit k of M(T_e[j]), over j, Tr(t^k*T_e[j]) = parity(T_e[j] & M(t^k)),
+  is a row of L bits packed 64 to a uint64 word (``_trace_rows``), and
+  Four-Russians tables (``_xor_tables``, one build for every exponent)
+  hold the XOR of every subset of 8 consecutive rows, so the L trace bits
+  of a block are one gather per byte of c_t and exponent, and the block
+  adds L - 2*popcount.  The blocks are cut into chunks of ``_STARTS``, the
+  unit of work: block s of chunk c starts at the chunk's first start
+  times the step G_e^s, G_e = g^(e*L), and a count has at most L chunks
+  of at most L blocks for every m <= 34.  So one ``geometric_block`` of
+  the bases g^e, the G_e = (g^e)^L (a Frobenius image, by squarings) and
+  the leaps G_e^_STARTS gives every T_e, step and chunk's first start
+  (``_block_powers``); its doubling steps are one gather each for all
+  these ratios at once, through one table of every doubling constant.  A
+  count builds two tables whatever L (the doubling constants and the bit
+  rows), one more of the leaps when it has more than one chunk, and one
+  for a range from lo > 0, to multiply the first starts by g^(e*lo).  A
+  negative exponent e raises g^-1 to -e.  Up to ``threads`` threads of
+  this process, no more than the CPUs it may run on or the chunks (one
+  chunk and no thread up to 2^24 elements), share the chunks, the field
+  and the tables; numpy's gathers, XORs and popcounts run without the
+  GIL.  Each takes a contiguous run of chunks, gathers ``_BATCH`` blocks
+  at a time into two buffers of its own, and masks the bits of the last
+  block past the range end, so any index range [lo, hi) can be summed.
+  Memory is bounded by these chunk sizes, not by the field.  Partial
+  sums are exact ints, so the result does not depend on the partitioning;
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
   M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
@@ -100,7 +102,6 @@ from .gfpoly import factor_int
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
 _TABLE_CHUNK = 1 << 15  # indices per step of the table kernel and its table walk
-_CHUNK = 1 << 27  # fewest indices per worker process of the packed kernel
 _STARTS = 1 << 12  # block starts of the packed kernel computed at once
 _BATCH = 1 << 10  # blocks of the packed kernel gathered at once
 LOG_TABLE_MAX = 1 << 20
@@ -406,12 +407,6 @@ class FiniteField:
         m = self.m
         return (digits @ tensor.reshape(m, m * m)).reshape(digits.shape[:-1] + (m, m)) % self.p
 
-    def bulk_trace_dual(self, block: np.ndarray) -> np.ndarray:
-        """``trace_dual`` of every code in a uint64 array of any shape: M(c) is
-        GF(2)-linear in c, so it is a few gathers from the byte tables of
-        the m dual masks."""
-        return _xor_gather(_xor_tables(np.array(self._dual_masks, dtype=np.uint64)), block)
-
     def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exps, duals) for p = 2: exps[i] = g^i for i < order - 1 and
         duals[y] = M(1/y), with duals[0] = 0, so Tr(x/y) = parity(x &
@@ -564,7 +559,8 @@ def char_sum(
         raise ValueError("rational map must be over GF(2)")
     exponents = f.laurent_exponents()
     if exponents is not None:
-        return _char_sum_stream(field, f, exponents, resolve_threads(threads))
+        n = field.order - 1
+        return _zero_point_term(field, f) + _stream_range(field, exponents, 0, n, resolve_threads(threads))
     if field.m > table_max_m:
         raise TooLarge(
             f"m = {field.m} exceeds the bound m <= {table_max_m} for maps whose "
@@ -667,95 +663,97 @@ def _block_length(m: int) -> int:
 
 def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, lo: int, blocks: int):
     """The constants of the packed kernel for ``blocks`` blocks of
-    ``length`` indices from lo: (powers, chunks), powers[e][j] = g^(e*j) for
-    j < length, and chunks an iterator over chunks of ``_STARTS`` blocks,
-    each the starts c_t = g^(e*(lo + t*length)) of its blocks t, one row
-    per exponent.  c_t for a chunk is its first c_t times G_e^s, s <
-    ``_STARTS``, G_e = g^(e*length) = (g^e)^length, so one geometric block
-    gives the powers and, when a chunk has more than one block, the powers
-    of every G_e; a later chunk or lo > 0 multiplies them through one table
-    build per chunk."""
+    ``length`` indices from lo, in chunks of ``_STARTS`` blocks, one row
+    or entry per exponent e: (powers, steps, firsts, leaps), powers[e][j] =
+    g^(e*j), j < length, steps[e][s] = G_e^s, s < ``_STARTS``, G_e =
+    g^(e*length), firsts[e][c] = g^(e*(lo + c*_STARTS*length)), the start
+    of chunk c, whose block s starts at firsts[e][c] * steps[e][s], and
+    leaps[e] = G_e^_STARTS (none for one chunk).  All come from one
+    geometric block of the g^e, G_e and leaps (at most ``length`` chunks
+    and blocks per chunk), times g^(e*lo) through one table for lo > 0."""
     n = field.order - 1
-    per_chunk = min(_STARTS, blocks)  # <= length for every m <= DEFAULT_MAX_M
+    per_chunk = min(_STARTS, blocks)
+    chunks = -(-blocks // per_chunk)
     bases = [
         field.pow_el(field.generator, e % n) if e >= 0 else field.pow_el(field._generator_inv, -e % n)
         for e in exponents
     ]
-    giants = [field._frobenius(base, length.bit_length() - 1) for base in bases] if per_chunk > 1 else []
-    powers = field.geometric_block(bases + giants, length)
-    steps = powers[len(bases) :, :per_chunk] if giants else powers[:, :1]
-
-    def chunks():
-        firsts = [field.pow_el(base, lo) for base in bases]  # 1 when lo = 0
-        if blocks > per_chunk:  # a chunk's last start times G_e is the next chunk's first
-            jumps = [field.mul(int(step[-1]), giant) for step, giant in zip(steps, giants)]
-        for t0 in range(0, blocks, per_chunk):
-            starts = steps[:, : min(per_chunk, blocks - t0)]
-            if any(c != 1 for c in firsts):
-                starts = np.array([_xor_gather(t, row) for t, row in zip(field._mul_tables(firsts), starts)])
-            yield starts
-            if t0 + per_chunk < blocks:
-                firsts = [field.mul(c, jump) for c, jump in zip(firsts, jumps)]
-
-    return powers[: len(bases)], chunks()
+    giants = [field._frobenius(base, length.bit_length() - 1) for base in bases] if blocks > 1 else []
+    leaps = [field.pow_el(giant, per_chunk) for giant in giants] if chunks > 1 else []
+    rows = field.geometric_block(bases + giants + leaps, length)
+    k = len(bases)
+    steps = rows[k : 2 * k, :per_chunk] if giants else rows[:k, :1]
+    firsts = rows[2 * k :, :chunks] if leaps else rows[:k, :1]
+    if lo:
+        firsts = _mul_rows(field._mul_tables([field.pow_el(base, lo) for base in bases]), firsts)
+    return rows[:k], steps, firsts, leaps
 
 
-def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int) -> int:
-    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi."""
+def _mul_rows(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every code of row e of ``rows`` times the constant of tables[e]
+    (``FiniteField._mul_tables``)."""
+    return np.array([_xor_gather(t, row) for t, row in zip(tables, rows)])
+
+
+def _trace_rows(field: FiniteField, codes: np.ndarray) -> np.ndarray:
+    """Bit k of M(y) = Tr(t^k * y) = parity(y & M(t^k)) for each code y of
+    each row of ``codes``, over the row, packed 8 to a byte little-endian:
+    shape (rows, m, ceil(len / 8)), uint8."""
+    masks = np.array(field._dual_masks, dtype=np.uint64)[:, None]
+    odd = np.bitwise_count(codes[:, None, :] & masks) & np.uint8(1)
+    return np.packbits(odd, axis=-1, bitorder="little")
+
+
+def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int, threads: int = 1) -> int:
+    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi, in up to
+    ``threads`` threads, no more than the CPUs this process may run on."""
     if not exponents or hi == lo:
         return hi - lo  # f = 0, or nothing to sum
-    m, length = field.m, _block_length(field.m)
+    length = _block_length(field.m)
     blocks = -(-(hi - lo) // length)
     # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], T_e[j] = g^(e*j)
-    powers, chunks = _block_powers(field, exponents, length, lo, blocks)
+    powers, steps, firsts, leaps = _block_powers(field, exponents, length, lo, blocks)
     # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): bit k of M(T_e[j]), over
     # j, packed 64 to a word, is row k of exponent e's tables
-    nbytes = (m + 7) // 8
-    duals = _code_bytes(field.bulk_trace_dual(powers))[..., :nbytes]  # [e, j, byte]
-    masks = np.ascontiguousarray(duals.transpose(0, 2, 1))
-    bits = (masks[:, :, None] >> np.arange(8, dtype=np.uint8)[:, None]) & np.uint8(1)  # [e, byte, bit, j]
-    rows = np.packbits(bits.reshape(len(powers), 8 * nbytes, length)[:, :m], axis=-1, bitorder="little")
-    tables = _xor_tables(rows.view(np.uint64), axis=1)
-    # a block's trace bits are the XOR over e and b of tables[e][b][byte b
-    # of c_t], gathered into two buffers held for the count, not into a new
-    # array per gather (every byte is a row, and mode="clip" lets np.take
-    # write out= unbuffered)
-    acc_buffer, part_buffer = np.empty((2, min(_BATCH, blocks), tables.shape[-1]), dtype=np.uint64)
-    ones, t0 = 0, 0  # t0: the chunk's first block
-    for starts in chunks:
-        cnt = starts.shape[1]
-        for s in range(0, cnt, _BATCH):
-            acc, part = acc_buffer[: cnt - s], part_buffer[: cnt - s]
-            for e, (table, c) in enumerate(zip(tables, starts)):
-                code_bytes = _code_bytes(c[s : s + _BATCH])
-                for b in range(len(table)):  # the first gather sets acc, the others XOR into it
-                    np.take(table[b], code_bytes[..., b], axis=0, out=part if e or b else acc, mode="clip")
-                    if e or b:
-                        acc ^= part
-            if t0 + s + len(acc) == blocks:  # the last block stops at hi
-                tail = hi - lo - (blocks - 1) * length
-                acc[-1] &= np.packbits(np.arange(length) < tail, bitorder="little").view(np.uint64)
-            ones += int(np.bitwise_count(acc).sum())
-        t0 += cnt
-    return hi - lo - 2 * ones
+    tables = _xor_tables(_trace_rows(field, powers).view(np.uint64), axis=1)
+    leap_tables = field._mul_tables(leaps) if leaps else None
+    per_chunk, chunks, nbytes = steps.shape[1], firsts.shape[1], tables.shape[1]
+    tail = np.packbits(np.arange(length) < hi - lo - (blocks - 1) * length, bitorder="little").view(np.uint64)
+    workers = min(threads, resolve_threads(None), chunks)
 
+    def count(worker: int) -> int:
+        # The worker's chunks are a contiguous run, each later chunk's
+        # starts the ones before times the leaps.  A block's trace bits are
+        # the XOR over e and b of tables[e][b][byte b of c_t], gathered into
+        # the worker's two buffers (mode="clip" lets take write out=
+        # unbuffered).  A thread waits for the GIL after each numpy call, so
+        # the bytes of a chunk's starts become intp rows once, and the
+        # gathers call ndarray.take, not the np.take wrapper.
+        run = range(chunks * worker // workers, chunks * (worker + 1) // workers)
+        first = firsts[:, run.start]
+        starts = _mul_rows(field._mul_tables(first), steps) if (first != 1).any() else steps
+        acc_buffer, part_buffer = np.empty((2, min(_BATCH, per_chunk), tables.shape[-1]), dtype=np.uint64)
+        ones = 0
+        for c in run:
+            if c > run.start:
+                starts = _mul_rows(leap_tables, starts)
+            cnt = min(per_chunk, blocks - c * per_chunk)
+            indices = _code_bytes(starts[:, :cnt])[..., :nbytes].transpose(0, 2, 1).astype(np.intp, order="C")
+            for s in range(0, cnt, _BATCH):
+                acc, part = acc_buffer[: cnt - s], part_buffer[: cnt - s]
+                for e, (table, rows) in enumerate(zip(tables, indices[..., s : s + _BATCH])):
+                    for b, (table_b, row) in enumerate(zip(table, rows)):  # the first gather sets acc
+                        table_b.take(row, axis=0, out=part if e or b else acc, mode="clip")
+                        if e or b:
+                            acc ^= part
+                if c * per_chunk + s + len(acc) == blocks:  # the last block stops at hi
+                    acc[-1] &= tail
+                ones += int(np.bitwise_count(acc).sum())
+        return ones
 
-def _stream_job(args) -> int:
-    m, exponents, lo, hi = args
-    return _stream_range(make_field(2, m), exponents, lo, hi)
-
-
-def _char_sum_stream(
-    field: FiniteField, f: RationalMap, exponents: tuple[int, ...], threads: int
-) -> int:
-    n = field.order - 1
-    total = _zero_point_term(field, f)
-    workers = min(threads, -(-n // _CHUNK))
     if workers == 1:
-        return total + _stream_range(field, exponents, 0, n)
-    bounds = [n * t // workers for t in range(workers + 1)]
-    jobs = [(field.m, exponents, bounds[t], bounds[t + 1]) for t in range(workers)]
-    from concurrent.futures import ProcessPoolExecutor
+        return hi - lo - 2 * count(0)
+    from concurrent.futures import ThreadPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return total + sum(pool.map(_stream_job, jobs))
+    with ThreadPoolExecutor(workers) as pool:
+        return hi - lo - 2 * sum(pool.map(count, range(workers)))

@@ -338,10 +338,17 @@ class TestTrace:
                 assert trace(f, f.mul(c, y)) == (y & mask).bit_count() & 1
 
     @pytest.mark.parametrize("m", range(1, 11))
-    def test_bulk_trace_dual_exhaustive(self, m):
+    def test_trace_rows_equal_trace_dual(self, m):
+        # bit k of M(y) for every code y, in two rows (the field's codes and
+        # the same reversed), against ``trace_dual`` one element at a time
         f = make_field(2, m)
-        masks = f.bulk_trace_dual(np.arange(f.order, dtype=np.uint64))
-        assert masks.tolist() == [f.trace_dual(c) for c in range(f.order)]
+        codes = np.arange(f.order, dtype=np.uint64)
+        codes = np.stack([codes, codes[::-1]])
+        rows = finite_fields._trace_rows(f, codes)
+        assert rows.shape == (2, m, -(-f.order // 8))
+        bits = np.unpackbits(rows, axis=-1, count=f.order, bitorder="little")
+        for row, row_codes in zip(bits, codes.tolist()):
+            assert row.T.tolist() == [[f.trace_dual(c) >> k & 1 for k in range(m)] for c in row_codes]
 
     @pytest.mark.parametrize("p,m", [(2, 6), (2, 9), (3, 3), (5, 2)])
     def test_linearity_and_frobenius(self, p, m):
@@ -465,11 +472,14 @@ class TestCharSum:
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_block_starts_fit_one_block(self, m):
-        # the starts of a chunk of blocks are the Frobenius images of the
-        # first powers of a block, so a chunk has at most one block's length
+        # the starts of a chunk's blocks and the first starts of the chunks
+        # come from the geometric block of a block's powers, so a chunk has
+        # at most one block's length of blocks, and a count as many chunks
         length = finite_fields._block_length(m)
         blocks = -(-(2**m - 1) // length)
-        assert min(finite_fields._STARTS, blocks) <= length
+        per_chunk = min(finite_fields._STARTS, blocks)
+        assert per_chunk <= length
+        assert -(-blocks // per_chunk) <= length
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_frobenius_tables_match_pow_el(self, m):
@@ -491,27 +501,35 @@ class TestCharSum:
         # 1, 2 and 3 exponents at once: negative, at least n, = 0 mod n
         return ((-1,), (n + 5, -3), (65, 0, -n - 2), (n, -2 * n, 7))
 
+    @staticmethod
+    def _see_cpus(monkeypatch, cpus: int):
+        # the CPUs this process may run on, as the packed kernel sees them
+        monkeypatch.setattr(finite_fields.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_block_powers_equal_running_products(self, monkeypatch, m):
-        # the powers g^(e*j), j < L, and the block starts g^(e*(lo + t*L))
-        # of the packed kernel against running products through ``mul``,
-        # from lo > 0 over 7 blocks in chunks of 3, so a later chunk starts
-        # from the jump of the one before
+        # the powers g^(e*j), j < L, the steps G_e^s, s < 3, G_e = g^(e*L),
+        # the first start g^(e*(lo + 3*c*L)) of every chunk c and the leap
+        # G_e^3 of the packed kernel against running products through
+        # ``mul``, from lo = 0 and from lo > 0, over 7 blocks in chunks of 3
         monkeypatch.setattr(finite_fields, "_STARTS", 3)
         field = make_field(2, m)
         n, length = field.order - 1, finite_fields._block_length(m)
         rng = random.Random(m)
         for exponents in self._exponent_sets(n):
-            lo = rng.randrange(1, n) if n > 1 else 0
-            powers, chunks = finite_fields._block_powers(field, exponents, length, lo, 7)
-            starts = np.concatenate(list(chunks), axis=1)
-            assert powers.shape == (len(exponents), length) and starts.shape == (len(exponents), 7)
-            for e, row, row_starts in zip(exponents, powers, starts):
-                base = _mul_power(field, field.generator, e % n)  # g^-k = g^(n - k)
-                want = _running_products(field, base, length + 1)
-                assert row.tolist() == want[:length], (m, e)
-                first = _mul_power(field, base, lo)
-                assert row_starts.tolist() == _running_products(field, want[length], 7, first), (m, e)
+            for lo in (0, rng.randrange(1, n) if n > 1 else 0):
+                powers, steps, firsts, leaps = finite_fields._block_powers(field, exponents, length, lo, 7)
+                k = len(exponents)
+                assert powers.shape == (k, length) and steps.shape == (k, 3) and firsts.shape == (k, 3)
+                assert len(leaps) == k
+                for e, row, row_steps, row_firsts, leap in zip(exponents, powers, steps, firsts, leaps):
+                    base = _mul_power(field, field.generator, e % n)  # g^-k = g^(n - k)
+                    want = _running_products(field, base, length + 1)
+                    assert row.tolist() == want[:length], (m, e)
+                    giant_powers = _running_products(field, want[length], 4)
+                    assert row_steps.tolist() == giant_powers[:3] and leap == giant_powers[3], (m, e)
+                    block_starts = _running_products(field, want[length], 7, _mul_power(field, base, lo))
+                    assert row_firsts.tolist() == block_starts[::3], (m, e, lo)
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_stream_range_with_partial_last_block_equals_the_definition(self, monkeypatch, m):
@@ -537,9 +555,9 @@ class TestCharSum:
 
     @pytest.mark.parametrize("m", [6, 16, 24])
     def test_packed_count_set_up_budget(self, monkeypatch, m):
-        # A count of D_6 (two exponents) builds three tables whatever the
+        # A count of D_6 (two exponents) builds two tables whatever the
         # block length L (64, 256 and 4096 here): one of every doubling
-        # constant, one of the trace-dual masks, one of the bit rows.  Its
+        # constant, one of the bit rows (a parity per code and mask).  Its
         # scalar products raise the bases to their exponents; squarings do
         # not go through ``mul``, and no doubling step builds a table.
         field = make_field(2, m)
@@ -558,16 +576,18 @@ class TestCharSum:
         monkeypatch.setattr(finite_fields, "_xor_tables", counted_tables)
         monkeypatch.setattr(finite_fields.FiniteField, "mul", counted_mul)
         assert char_sum(field, D6_MAP, threads=1) == want
-        assert len(builds) == 3
+        assert len(builds) == 2
         assert len(products) <= 4
 
-    @pytest.mark.parametrize("m", [7, 10])
-    def test_stream_subranges_equal_the_definition(self, monkeypatch, m):
+    @pytest.mark.parametrize("m,workers", [(7, 1), (10, 1), (10, 2), (10, 3)])
+    def test_stream_subranges_equal_the_definition(self, monkeypatch, m, workers):
         # ranges that start past 0, with chunks and batches of blocks that
-        # do not divide the range (GF(2^10) has 16 blocks), each against
-        # its sum by definition
-        monkeypatch.setattr(finite_fields, "_BATCH", 3)
-        monkeypatch.setattr(finite_fields, "_STARTS", 5)
+        # do not divide the range (GF(2^10) has 16 blocks), so the longer
+        # ranges of GF(2^10) span two and three chunks, shared among 1, 2
+        # and 3 threads, each against its sum by definition
+        monkeypatch.setattr(finite_fields, "_BATCH", 2)
+        monkeypatch.setattr(finite_fields, "_STARTS", 3)
+        self._see_cpus(monkeypatch, workers)
         field = make_field(2, m)
         oracle = oracles.tuple_field(2, m, field.modulus)
         n = field.order - 1
@@ -578,35 +598,82 @@ class TestCharSum:
         for f in (D6_MAP, _laurent([5, 2, -2, -7]), _laurent([3, -1, 0])):
             exps = f.laurent_exponents()
             signs = [1 - 2 * oracle.trace(oracles.eval_map(oracle, f, x)) for x in powers]
-            pieces = [finite_fields._stream_range(field, exps, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            pieces = [finite_fields._stream_range(field, exps, lo, hi, workers) for lo, hi in zip(cuts, cuts[1:])]
             assert pieces == [sum(signs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])], f
             assert sum(pieces) + finite_fields._zero_point_term(field, f) == oracles.naive_char_sum(m, f)
 
     def test_small_field_starts_no_pool(self, monkeypatch):
+        # up to 2^24 elements a count has one chunk, so one worker
         def refuse(*args, **kwargs):
-            raise AssertionError("a process pool was started")
+            raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        self._see_cpus(monkeypatch, 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
         for m in (12, 24):
             field = make_field(2, m)
             assert char_sum(field, D6_MAP, threads=4) == char_sum(field, D6_MAP, threads=1)
 
-    def test_process_pool_matches_one_worker(self):
-        field = make_field(2, 28)  # the smallest field that gets two workers
-        assert field.order - 1 > finite_fields._CHUNK >= 2**27 - 1
-        assert char_sum(field, D6_MAP, threads=2) == char_sum(field, D6_MAP, threads=1)
+    def test_threads_match_one_worker(self, monkeypatch):
+        # GF(2^25) is the smallest field with two chunks of blocks
+        self._see_cpus(monkeypatch, 2)
+        field = make_field(2, 25)
+        n, length = field.order - 1, finite_fields._block_length(25)
+        assert -(-n // length) > finite_fields._STARTS
+        for exponents in self._exponent_sets(n):
+            one = finite_fields._stream_range(field, exponents, 0, n)
+            assert finite_fields._stream_range(field, exponents, 0, n, threads=2) == one, exponents
 
-    def test_packed_kernel_memory_is_bounded(self):
+    def test_count_runs_in_one_process(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        self._see_cpus(monkeypatch, 2)
+        field = make_field(2, 28)
+        want = char_sum(field, D6_MAP, threads=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        assert char_sum(field, D6_MAP, threads=2) == want
+
+    @pytest.mark.parametrize("threads,cpus,workers", [(1000, 5, 5), (1000, 1000, 64), (3, 1000, 3), (1, 4, 1)])
+    def test_workers_bounded_by_threads_cpus_and_chunks(self, monkeypatch, threads, cpus, workers):
+        # GF(2^16) in chunks of 4 blocks has 64 chunks; the stand-in pool
+        # records its size and runs the map serially, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        field = make_field(2, 16)
+        want = char_sum(field, D6_MAP, threads=1)
+        monkeypatch.setattr(finite_fields, "_STARTS", 4)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
+        self._see_cpus(monkeypatch, cpus)
+        assert char_sum(field, D6_MAP, threads=threads) == want
+        assert sizes == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("m,workers,bound", [(30, 1, 4 * 2**20), (28, 2, 8 * 2**20)])
+    def test_packed_kernel_memory_is_bounded(self, monkeypatch, m, workers, bound):
         # Tables, block starts and gathers are per chunk of blocks, so the
-        # peak does not grow with the field.
-        field = make_field(2, 30)
+        # peak does not grow with the field; each worker holds two gather
+        # buffers and one chunk's starts of its own.
+        self._see_cpus(monkeypatch, workers)
+        field = make_field(2, m)
         tracemalloc.start()
         try:
-            char_sum(field, D6_MAP, threads=1)
+            char_sum(field, D6_MAP, threads=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        assert peak <= bound
 
     @pytest.mark.parametrize("m", [8, 11, 13])
     def test_streaming_kernel_matches_table_kernel(self, m):
