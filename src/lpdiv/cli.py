@@ -44,6 +44,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _thread_count(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lpdiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -62,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, required=True)
         if horizon:
             p.add_argument("--horizon", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None, help="threads of the p = 2 Laurent-map kernel (default: CPUs this process may run on)")
+        p.add_argument("--threads", type=_thread_count, default=None, help="threads of the p = 2 Laurent-map kernel (default: CPUs this process may run on)")
         p.add_argument("--format", dest="fmt", choices=("table", "json"), default="json")
         return p
 

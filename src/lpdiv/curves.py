@@ -41,6 +41,7 @@ from .finite_fields import (
     TooLarge,
     char_sum,
     make_field,
+    resolve_threads,
 )
 
 
@@ -160,11 +161,12 @@ def genus(c: CurveModel) -> int:
 
 def count_points(c: CurveModel, m: int, *, threads: int | None = None) -> int:
     """#C(F_{q^m}) on the smooth projective model, exactly.  m above the
-    enumeration bound ``DEFAULT_MAX_M`` = 34 raises TooLarge (no field of
-    that degree can be built), and so do odd-p fields beyond the walk's
-    int64 range or of order above ``POWER_TABLE_MAX`` = 2^30."""
+    enumeration bound ``DEFAULT_MAX_M`` = 34 raises TooLarge, and so do
+    odd-p fields beyond the walk's int64 range or of order above
+    ``POWER_TABLE_MAX`` = 2^30; threads below 1 raise ValueError."""
     if m < 1:
         raise ValueError("extension degree must be >= 1")
+    threads = resolve_threads(threads)
     if isinstance(c, ArtinSchreierCurve):
         field = make_field(2, m)
         s = char_sum(field, c.f, threads=threads)
@@ -271,10 +273,11 @@ def dk_curve(k: int) -> ArtinSchreierCurve:
 def gsum(k: int, m: int, *, threads: int | None = None) -> int:
     """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1)).
 
-    x^(2^k) = x^(2^(k mod m)) on GF(2^m), so the sum is taken for
-    x^(2^(k mod m)+1) + x^(-1), whose size does not grow with k."""
+    On GF(2^m), x^(2^k) = x^(2^j), j = k mod m, and Tr(x^(2^j+1)) is
+    Tr(x^(2^(m-j)+1)), its image under y -> y^(2^(m-j)), so the sum is of
+    x^(2^i+1) + x^(-1), i = min(j, -j mod m) <= 17: at most 2^17 + 3 terms."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return char_sum(make_field(2, m), _dk_rhs(k % m), threads=threads)
+    return char_sum(make_field(2, m), _dk_rhs(min(k % m, -k % m)), threads=threads)

@@ -36,6 +36,7 @@ from enum import Enum
 from math import gcd as int_gcd
 
 from .curves import count_series, dk_curve, gsum
+from .finite_fields import DEFAULT_MAX_M, TooLarge
 from .gfpoly import factor_int
 from .intpoly import (
     IntPoly,
@@ -291,12 +292,15 @@ class DkReport:
 
 def verify_conjecture_dk(k: int, horizon: int | None = None, *, threads: int | None = None) -> DkReport:
     """Compute the L-polynomial of y^2 + y = x^(2^k+1) + x^(-1) from counts,
-    divide by the k = 1 member, and analyze the quotient structure."""
+    divide by the k = 1 member, and analyze the quotient structure.  A
+    series past the enumeration bound is refused before D_k is built."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be >= 1")
     need = max(horizon or 0, (1 << (k - 1)) + 1)
+    if need > DEFAULT_MAX_M:
+        raise TooLarge(f"m = {need} exceeds the enumeration bound {DEFAULT_MAX_M}")
     counts = count_series(dk_curve(k), need, threads=threads).counts
     return dk_report_from_counts(k, counts)
 

@@ -15,18 +15,17 @@ constants), and int64 digit rows for odd p.  ``bulk_decode``/
 gives the m x m digit matrices over GF(p) of multiplications by
 constants (from the digit tensor ``mul_tensor``, which an odd-p count
 builds once), and ``geometric_rows`` the digit rows of the powers of a
-constant by doubling with those matrices: the odd-p counting walk starts
-from them (``geometric_block`` for odd p is their codes).  A field is its
-(p, m): the modulus is always the lexicographically first monic
+constant by doubling with those matrices, from which the odd-p counting
+walk starts (``geometric_block`` is their p = 2 counterpart).  A field is
+its (p, m): the modulus is always the lexicographically first monic
 irreducible of degree m and the generator the least one, so
 ``make_field(p, m)`` caches fields by (p, m).  For odd p both are
 searched for (factoring p^m - 1 for the generator); for p = 2 they are
 read, with g^-1, from the table ``_GF2_FIELDS``, which the tests check
 against the search for every m, so a p = 2 field costs only its O(m^2)
-trace masks.  A ``FiniteField`` is immutable after
-construction and safe to share.  No field of degree above the enumeration
-bound ``DEFAULT_MAX_M`` = 34 can be built, so no count beyond it can
-start.
+trace masks.  A ``FiniteField`` is immutable after construction and safe
+to share.  No field of degree above the enumeration bound
+``DEFAULT_MAX_M`` = 34 can be built, so no count beyond it can start.
 
 The p = 2 character-sum kernel walks the multiplicative group as powers of
 the field generator g.  ``char_sum`` routes each map to one of two
@@ -46,17 +45,17 @@ realizations:
   hold the XOR of every subset of 8 consecutive rows, so the L trace bits
   of a block are one gather per byte of c_t and exponent, and the block
   adds L - 2*popcount.  The blocks are cut into chunks of ``_STARTS``, the
-  unit of work: block s of chunk c starts at the chunk's first start
-  times the step G_e^s, G_e = g^(e*L), and a count has at most L chunks
-  of at most L blocks for every m <= 34.  So one ``geometric_block`` of
-  the bases g^e, the G_e = (g^e)^L (a Frobenius image, by squarings) and
-  the leaps G_e^_STARTS gives every T_e, step and chunk's first start
-  (``_block_powers``); its doubling steps are one gather each for all
-  these ratios at once, through one table of every doubling constant.  A
+  unit of work, of at most L blocks for every m <= 34: block s of a chunk
+  starts at the chunk's first start times the step G_e^s, G_e = g^(e*L).
+  So one ``geometric_block`` of the bases g^e and the G_e gives every T_e
+  and step (``_block_powers``), one gather per doubling for all of them.
+  The other constants are ``pow_el``: the bases, the G_e and the leaps
+  G_e^_STARTS from a chunk's starts to the next (powers of two, squarings
+  only), and each worker's first start g^(e*i), i its first index.  A
   count builds two tables whatever L (the doubling constants and the bit
-  rows), one more of the leaps when it has more than one chunk, and one
-  for a range from lo > 0, to multiply the first starts by g^(e*lo).  A
-  negative exponent e raises g^-1 to -e.  Up to ``threads`` threads of
+  rows), one more of the leaps when it has more than one chunk, and a
+  worker one to multiply the steps by its first start when that is not 1.
+  A negative exponent e raises g^-1 to -e.  Up to ``threads`` threads of
   this process, no more than the CPUs it may run on or the chunks (one
   chunk and no thread up to 2^24 elements), share the chunks, the field
   and the tables; numpy's gathers, XORs and popcounts run without the
@@ -85,7 +84,8 @@ realizations:
   terms, and Tr(N/D) is parity(N & duals[D]), one gather per element.
   The tables still cover the whole field, since e*i mod n and D(x) reach
   all of it.  They are built per call and not kept on the (cached, shared)
-  field; building them is most of a count.  Beyond that bound such maps raise ``TooLarge``.
+  field; building them is most of a count.  Beyond that bound such maps
+  raise ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -307,23 +307,16 @@ class FiniteField:
                 x ^= h << i
         return x
 
-    def _frobenius(self, y: int, a: int) -> int:
-        """y^(2^a) for p = 2: a chain of ``_square``."""
-        for _ in range(a):
-            y = self._square(y)
-        return y
-
     def pow_el(self, a: int, e: int) -> int:
+        """a^e from the top bit of e down: a power of two is squarings only."""
         if e < 0:
             raise ValueError("exponent must be >= 0")
         square = self._square if self.p == 2 else lambda y: self.mul(y, y)
-        r = 1
-        while e:
-            if e & 1:
+        r = a if e else 1
+        for bit in format(e, "b")[1:]:
+            r = square(r)
+            if bit == "1":
                 r = self.mul(r, a)
-            e >>= 1
-            if e:
-                a = square(a)
         return r
 
     def __repr__(self):
@@ -468,18 +461,15 @@ class FiniteField:
 
     def geometric_block(self, ratio, length: int) -> np.ndarray:
         """[ratio^0, ratio^1, ..., ratio^(length-1)] as uint64 codes, or for
-        a sequence of ratios one such row for each, shape (ratios, length).
-        For p = 2 by doubling: step s multiplies the first 2^s powers of
-        every ratio by its ratio^(2^s), all these constants coming from
-        squaring chains (``_square``) and multiplied through one table
-        build (``_mul_tables``), so a step is one gather for every ratio.
-        For odd p the codes of ``geometric_rows``."""
-        ratios = [int(r) for r in np.atleast_1d(ratio)]
+        a sequence of ratios one such row for each, shape (ratios, length);
+        p = 2 only (``geometric_rows`` is the odd-p counterpart).  By
+        doubling: step s multiplies the first 2^s powers of every ratio by
+        its ratio^(2^s), all these constants coming from squaring chains
+        (``_square``) and multiplied through one table build
+        (``_mul_tables``), so a step is one gather for every ratio."""
         if self.p != 2:
-            tensor = self.mul_tensor()
-            rows = [self.bulk_encode(self.geometric_rows(r, length, tensor)) for r in ratios]
-            out = np.array(rows, dtype=np.uint64)
-            return out if np.ndim(ratio) else out[0]
+            raise ValueError("geometric blocks of codes are implemented for p = 2 only")
+        ratios = [int(r) for r in np.atleast_1d(ratio)]
         steps = max(length - 1, 0).bit_length()  # doublings up to length
         out = np.zeros((length, len(ratios)), dtype=np.uint64)  # [k, ratio], so a prefix is contiguous
         out[:1] = 1
@@ -516,7 +506,10 @@ class FiniteField:
         field."""
         if self.order > LOG_TABLE_MAX:
             raise TooLarge(f"log tables capped at order {LOG_TABLE_MAX}")
-        exps = self.geometric_block(self.generator, self.order - 1).astype(np.int64)
+        if self.p == 2:
+            exps = self.geometric_block(self.generator, self.order - 1).astype(np.int64)
+        else:
+            exps = self.bulk_encode(self.geometric_rows(self.generator, self.order - 1, self.mul_tensor()))
         logs = np.zeros(self.order, dtype=np.int64)
         logs[exps] = np.arange(self.order - 1)
         return exps, logs
@@ -551,8 +544,9 @@ def char_sum(
     Exact, and independent of how the enumeration is chunked.  Every field
     is within the enumeration bound (the constructor refuses m above
     ``DEFAULT_MAX_M``); maps whose denominator is not a monomial are also
-    refused above ``table_max_m``.
+    refused above ``table_max_m``, and threads below 1 on every route.
     """
+    threads = resolve_threads(threads)
     if field.p != 2:
         raise ValueError("character sums are implemented for p = 2 only")
     if f.p != 2:
@@ -560,7 +554,7 @@ def char_sum(
     exponents = f.laurent_exponents()
     if exponents is not None:
         n = field.order - 1
-        return _zero_point_term(field, f) + _stream_range(field, exponents, 0, n, resolve_threads(threads))
+        return _zero_point_term(field, f) + _stream_range(field, exponents, 0, n, threads)
     if field.m > table_max_m:
         raise TooLarge(
             f"m = {field.m} exceeds the bound m <= {table_max_m} for maps whose "
@@ -661,32 +655,22 @@ def _block_length(m: int) -> int:
     return 1 << min(12, max(6, (m + 1) // 2))
 
 
-def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, lo: int, blocks: int):
+def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, blocks: int):
     """The constants of the packed kernel for ``blocks`` blocks of
-    ``length`` indices from lo, in chunks of ``_STARTS`` blocks, one row
-    or entry per exponent e: (powers, steps, firsts, leaps), powers[e][j] =
-    g^(e*j), j < length, steps[e][s] = G_e^s, s < ``_STARTS``, G_e =
-    g^(e*length), firsts[e][c] = g^(e*(lo + c*_STARTS*length)), the start
-    of chunk c, whose block s starts at firsts[e][c] * steps[e][s], and
-    leaps[e] = G_e^_STARTS (none for one chunk).  All come from one
-    geometric block of the g^e, G_e and leaps (at most ``length`` chunks
-    and blocks per chunk), times g^(e*lo) through one table for lo > 0."""
+    ``length`` indices in chunks of ``_STARTS`` blocks, per exponent e:
+    (bases, powers, steps, leaps), bases[e] = g^e, powers[e][j] =
+    g^(e*j), j < length, steps[e][s] = G_e^s, s < the blocks of a chunk,
+    G_e = g^(e*length), and leaps[e] = G_e^_STARTS (none for one chunk);
+    the powers and steps are one geometric block of the g^e and G_e."""
     n = field.order - 1
     per_chunk = min(_STARTS, blocks)
-    chunks = -(-blocks // per_chunk)
-    bases = [
-        field.pow_el(field.generator, e % n) if e >= 0 else field.pow_el(field._generator_inv, -e % n)
-        for e in exponents
-    ]
-    giants = [field._frobenius(base, length.bit_length() - 1) for base in bases] if blocks > 1 else []
-    leaps = [field.pow_el(giant, per_chunk) for giant in giants] if chunks > 1 else []
-    rows = field.geometric_block(bases + giants + leaps, length)
+    bases = [field.pow_el(field.generator if e >= 0 else field._generator_inv, abs(e) % n) for e in exponents]
+    giants = [field.pow_el(base, length) for base in bases] if blocks > 1 else []
+    leaps = [field.pow_el(giant, per_chunk) for giant in giants] if blocks > per_chunk else []
+    rows = field.geometric_block(bases + giants, length)
     k = len(bases)
-    steps = rows[k : 2 * k, :per_chunk] if giants else rows[:k, :1]
-    firsts = rows[2 * k :, :chunks] if leaps else rows[:k, :1]
-    if lo:
-        firsts = _mul_rows(field._mul_tables([field.pow_el(base, lo) for base in bases]), firsts)
-    return rows[:k], steps, firsts, leaps
+    steps = rows[k:, :per_chunk] if giants else rows[:, :1]
+    return bases, rows[:k], steps, leaps
 
 
 def _mul_rows(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -712,26 +696,27 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
     length = _block_length(field.m)
     blocks = -(-(hi - lo) // length)
     # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], T_e[j] = g^(e*j)
-    powers, steps, firsts, leaps = _block_powers(field, exponents, length, lo, blocks)
+    bases, powers, steps, leaps = _block_powers(field, exponents, length, blocks)
     # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): bit k of M(T_e[j]), over
     # j, packed 64 to a word, is row k of exponent e's tables
     tables = _xor_tables(_trace_rows(field, powers).view(np.uint64), axis=1)
     leap_tables = field._mul_tables(leaps) if leaps else None
-    per_chunk, chunks, nbytes = steps.shape[1], firsts.shape[1], tables.shape[1]
+    per_chunk, nbytes = steps.shape[1], tables.shape[1]
+    chunks = -(-blocks // per_chunk)
     tail = np.packbits(np.arange(length) < hi - lo - (blocks - 1) * length, bitorder="little").view(np.uint64)
     workers = min(threads, resolve_threads(None), chunks)
 
     def count(worker: int) -> int:
-        # The worker's chunks are a contiguous run, each later chunk's
-        # starts the ones before times the leaps.  A block's trace bits are
-        # the XOR over e and b of tables[e][b][byte b of c_t], gathered into
-        # the worker's two buffers (mode="clip" lets take write out=
-        # unbuffered).  A thread waits for the GIL after each numpy call, so
-        # the bytes of a chunk's starts become intp rows once, and the
+        # The first chunk's starts are the steps times g^(e*i), i its first
+        # index, later ones the ones before times the leaps.  A block's
+        # trace bits, the XOR over e and b of tables[e][b][byte b of c_t],
+        # are gathered into the worker's two buffers (mode="clip" lets take
+        # write out= unbuffered).  Threads wait for the GIL after each numpy
+        # call, so a chunk's start bytes become intp rows once, and the
         # gathers call ndarray.take, not the np.take wrapper.
         run = range(chunks * worker // workers, chunks * (worker + 1) // workers)
-        first = firsts[:, run.start]
-        starts = _mul_rows(field._mul_tables(first), steps) if (first != 1).any() else steps
+        first = [field.pow_el(base, lo + run.start * per_chunk * length) for base in bases]
+        starts = _mul_rows(field._mul_tables(first), steps) if any(c != 1 for c in first) else steps
         acc_buffer, part_buffer = np.empty((2, min(_BATCH, per_chunk), tables.shape[-1]), dtype=np.uint64)
         ones = 0
         for c in run:

@@ -238,6 +238,28 @@ class TestErrors:
         code, _, err = run_cli(capsys, "count", "--curve", str(bad), "--m", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "two"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--curve", str(SAMPLES / "d1.json"), "--m", "3"),
+            ("count", "--curve", str(SAMPLES / "hyper3.json"), "--m", "3"),
+            ("count", "--curve", str(SAMPLES / "general4.json"), "--m", "3"),
+            ("lpoly", "--curve", str(SAMPLES / "general4.json")),
+            ("gsum", "--k", "1", "--m", "3"),
+            ("verify-dk", "--k", "2"),
+            ("check-div", "--lc", str(SAMPLES / "f3_lc.json"), "--ld", str(SAMPLES / "f3_ld.json"), "--k", "6"),
+            ("scan-gsum", "--k", "2", "--m", "3"),
+            ("counterexample",),
+        ],
+        ids=["count-d1", "count-hyper3", "count-general4", "lpoly", "gsum", "verify-dk", "check-div",
+             "scan-gsum", "counterexample"],
+    )
+    def test_threads_below_one_rejected(self, capsys, argv, threads):
+        code, out, err = run_cli(capsys, *argv, "--threads", threads)
+        assert (code, out) == (1, "")
+        assert err == f"error: argument --threads: must be an integer >= 1, not {threads!r}\n"
+
     def test_check_div_k1_rejected(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -344,16 +366,18 @@ class TestVerifyDkNote:
         assert (code, err) == (0, "")
         assert out == (SAMPLES.parent / "dk6_result.json").read_text()
 
-    def test_k7_refused_before_counting(self, capsys, monkeypatch):
-        from lpdiv import curves
+    @pytest.mark.parametrize("k,m", [(7, 65), (22, 2**21 + 1), (100, 2**99 + 1)])
+    def test_refused_before_the_curve_is_built(self, capsys, monkeypatch, k, m):
+        # D_k has 2^k + 3 coefficients: none is built past the bound
+        from lpdiv import decomp
 
         def refuse(*args, **kwargs):
-            raise AssertionError("counted a series that exceeds the bound")
+            raise AssertionError("built a curve whose series exceeds the bound")
 
-        monkeypatch.setattr(curves, "char_sum", refuse)
-        code, out, err = run_cli(capsys, "verify-dk", "--k", "7")
+        monkeypatch.setattr(decomp, "dk_curve", refuse)
+        code, out, err = run_cli(capsys, "verify-dk", "--k", str(k))
         assert (code, out) == (1, "")
-        assert err == "error: m = 65 exceeds the enumeration bound 34\n"
+        assert err == f"error: m = {m} exceeds the enumeration bound 34\n"
 
 
 class TestExitCodeTwo:

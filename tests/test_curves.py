@@ -294,6 +294,15 @@ class TestCountPoints:
         with pytest.raises(ValueError):
             count_points(dk_curve(1), 0)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("curve", [dk_curve(1), HYPER3, ArtinSchreierCurve(RationalMap(2, (1,), (1, 1)))],
+                             ids=["laurent", "odd", "table"])
+    def test_threads_below_one_refused(self, monkeypatch, curve, threads):
+        # refused on every route, before a field is built
+        monkeypatch.setattr(curves, "make_field", None)
+        with pytest.raises(ValueError, match=r"^threads must be >= 1$"):
+            count_points(curve, 3, threads=threads)
+
 
 class TestGsum:
     def test_hand_values(self):
@@ -314,6 +323,29 @@ class TestGsum:
             field = make_field(2, m)
             for k in range(1, 13):
                 assert gsum(k, m, threads=1) == char_sum(field, dk_map(k), threads=1), (k, m)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_exponent_folds_to_at_most_half_of_m(self, m):
+        # Tr(y) = Tr(y^(2^(m-j))) and (x^(2^j+1))^(2^(m-j)) = x^(2^(m-j)+1),
+        # so j and m - j give one sum: k = m + j for every j <= m
+        for j in range(m + 1):
+            want = oracles.naive_char_sum(m, curves._dk_rhs(j))
+            assert gsum(m + j, m) == gsum(2 * m - j, m) == want, (j, m)
+
+    def test_no_map_beyond_half_of_m(self, monkeypatch):
+        # k = 22 at m = 23 and k = 100 at m = 34 sum x^3 + x^(-1) and
+        # x^5 + x^(-1), not maps of 2^22 + 3 and 2^32 + 3 coefficients
+        built = []
+        dk_rhs = curves._dk_rhs
+
+        def recorded(j):
+            built.append(j)
+            return dk_rhs(j)
+
+        monkeypatch.setattr(curves, "_dk_rhs", recorded)
+        monkeypatch.setattr(curves, "char_sum", lambda field, f, threads=None: len(f.num))
+        assert gsum(22, 23) == 5 and gsum(100, 34) == 7
+        assert built == [1, 2]
 
 
 # (p, h, f, largest m for the brute-force oracle).  Together they cover
