@@ -270,14 +270,20 @@ def dk_curve(k: int) -> ArtinSchreierCurve:
     return ArtinSchreierCurve(dk_map(k))
 
 
-def gsum(k: int, m: int, *, threads: int | None = None) -> int:
-    """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1)).
+def gsum_exponent(k: int, m: int) -> int:
+    """The i with G_m^(k) the sum of x^(2^i+1) + x^(-1), so G_m^(k) depends
+    on (i, m) alone.  On GF(2^m), x^(2^k) = x^(2^j), j = k mod m, and
+    Tr(x^(2^j+1)) is Tr(x^(2^(m-j)+1)), its image under y -> y^(2^(m-j)),
+    so i = min(j, -j mod m) <= m/2."""
+    return min(k % m, -k % m)
 
-    On GF(2^m), x^(2^k) = x^(2^j), j = k mod m, and Tr(x^(2^j+1)) is
-    Tr(x^(2^(m-j)+1)), its image under y -> y^(2^(m-j)), so the sum is of
-    x^(2^i+1) + x^(-1), i = min(j, -j mod m) <= 17: at most 2^17 + 3 terms."""
+
+def gsum(k: int, m: int, *, threads: int | None = None) -> int:
+    """The exponential sum over GF(2^m)^* of (-1)^Tr(x^(2^k+1) + x^(-1)),
+    summed as x^(2^i+1) + x^(-1), i = ``gsum_exponent(k, m)`` <= 17: at
+    most 2^17 + 3 terms."""
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return char_sum(make_field(2, m), _dk_rhs(min(k % m, -k % m)), threads=threads)
+    return char_sum(make_field(2, m), _dk_rhs(gsum_exponent(k, m)), threads=threads)

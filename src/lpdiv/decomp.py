@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import gcd as int_gcd
 
-from .curves import count_series, dk_curve, gsum
+from .curves import count_series, dk_curve, gsum, gsum_exponent
 from .finite_fields import DEFAULT_MAX_M, TooLarge
 from .gfpoly import factor_int
 from .intpoly import (
@@ -386,13 +386,19 @@ def gsum_invariance_scan(k_max: int, m_max: int, *, threads: int | None = None) 
 
     Summed from m = m_max down to 1, so an m_max past the enumeration bound
     is refused, naming m_max, before any sum is taken; the table is in
-    ascending order whatever the order of the sums."""
+    ascending order whatever the order of the sums.  The sum of (k, m)
+    depends on (``gsum_exponent(k, m)``, m) alone, so each such pair is
+    summed once."""
     if k_max < 1 or m_max < 1:
         raise ValueError("scan bounds k and m must be >= 1")
     values: dict[tuple[int, int], int] = {}
+    sums: dict[tuple[int, int], int] = {}
     for m in range(m_max, 0, -1):
         for k in range(1, k_max + 1):
-            values[(k, m)] = gsum(k, m, threads=threads)
+            key = (gsum_exponent(k, m), m)
+            if key not in sums:
+                sums[key] = gsum(k, m, threads=threads)
+            values[(k, m)] = sums[key]
     mismatches = [
         (k, m)
         for (k, m), v in sorted(values.items())

@@ -65,27 +65,29 @@ realizations:
   Memory is bounded by these chunk sizes, not by the field.  Partial
   sums are exact ints, so the result does not depend on the partitioning;
 * a table kernel, for denominators that are not monomials, at
-  m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and duals[y] =
-  M(1/y) (both uint32), 8 bytes per element, filled by one chunked walk of
-  g and one pass over exps (``power_tables``).  The map has coefficients
-  in GF(2), so f(x^2) = f(x)^2 and Tr(y^2) = Tr(y): the sign at x = g^i is
-  constant on each orbit i -> 2i mod n = 2^m - 1, which rotates the m bits
-  of i.  Only the orbit representatives R = [2^(m-1), 2^(m-1) + 2^(m-2)),
-  the indices with top bits 10 (``_orbit_range``), are walked, a quarter
-  of the group, in chunks of ``_TABLE_CHUNK`` indices; i = 0 (x = 1) and
-  x = 0 are summed on their own.  An orbit of size p meets R in c*p/m
-  indices, c its number of cyclic 10 pairs (``_cyclic_pairs``), so each
-  index of R has weight m/c: the signs are summed per c (``np.bincount``)
-  into S_c, and m * S_c / c is added for each c in exact integers, an S_c
-  with m * S_c not a multiple of c raising RuntimeError as a counting bug.
+  m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and inv[y] = 1/y
+  (both uint32), 8 bytes per element, filled by one chunked walk of g and
+  one scatter of exps read backwards (``power_tables``).  The map has
+  coefficients in GF(2), so f(x^2) = f(x)^2 and Tr(y^2) = Tr(y): the sign
+  at x = g^i is constant on each orbit i -> 2i mod n = 2^m - 1, which
+  rotates the m bits of i.  Only the orbit representatives R = [2^(m-1),
+  2^(m-1) + 2^(m-2)), the indices with top bits 10 (``_orbit_range``), are
+  walked, a quarter of the group, in chunks of ``_TABLE_CHUNK`` indices;
+  i = 0 (x = 1) and x = 0 are summed on their own.  An orbit of size p
+  meets R in c*p/m indices, c its number of cyclic 10 pairs
+  (``_cyclic_pairs``), so each index of R has weight m/c: the signs are
+  summed per c (``np.bincount``) into S_c, and m * S_c / c is added for
+  each c in exact integers, an S_c with m * S_c not a multiple of c
+  raising RuntimeError as a counting bug.
   At x = g^i each term x^e is exps[e*i mod n], an arithmetic progression
   of indices over a chunk, read as strided slices of exps between
   wrap-arounds (``_xor_progression``); N(x) and D(x) are XORs of such
-  terms, and Tr(N/D) is parity(N & duals[D]), one gather per element.
-  The tables still cover the whole field, since e*i mod n and D(x) reach
-  all of it.  They are built per call and not kept on the (cached, shared)
-  field; building them is most of a count.  Beyond that bound such maps
-  raise ``TooLarge``.
+  terms, and Tr(N/D) is parity(N & M(inv[D])), M applied through byte
+  tables of the masks built once per count, so only to the 2^(m-2) + 1
+  denominators the walk reads.  The tables still cover the whole field,
+  since e*i mod n and D(x) reach all of it.  They are built per call and
+  not kept on the (cached, shared) field; building them is most of a
+  count.  Beyond that bound such maps raise ``TooLarge``.
 """
 
 from __future__ import annotations
@@ -401,20 +403,20 @@ class FiniteField:
         return (digits @ tensor.reshape(m, m * m)).reshape(digits.shape[:-1] + (m, m)) % self.p
 
     def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, duals) for p = 2: exps[i] = g^i for i < order - 1 and
-        duals[y] = M(1/y), with duals[0] = 0, so Tr(x/y) = parity(x &
-        duals[y]); both uint32, 8 bytes per element.  One walk of g fills
-        exps chunk by chunk: a geometric block of ``_TABLE_CHUNK`` powers
-        times g^lo, the chunk starts g^lo being a geometric block of their
-        own, multiplied through one table build (``_mul_tables``).  One
-        more pass over exps fills duals.  Orders above ``POWER_TABLE_MAX``
-        = 2^30 raise TooLarge, so codes fit uint32 and indices int32; odd p
-        raises ValueError.  Built on every call and not kept, so the caller
-        owns and drops them."""
+        """(exps, inv) for p = 2: exps[i] = g^i for i < order - 1 and
+        inv[y] = 1/y, with inv[0] = 0; both uint32, 8 bytes per element.
+        One walk of g fills exps chunk by chunk: a geometric block of
+        ``_TABLE_CHUNK`` powers times g^lo, the chunk starts g^lo being a
+        geometric block of their own, multiplied through one table build
+        (``_mul_tables``).  One scatter of exps read backwards fills inv,
+        1/g^i = g^(n - i); the trace-dual map M is left to the caller.
+        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so codes
+        fit uint32 and indices int32; odd p raises ValueError.  Built on
+        every call and not kept, so the caller owns and drops them."""
         if self.order > POWER_TABLE_MAX:
             raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
         if self.p != 2:
-            raise ValueError("trace-dual tables are implemented for p = 2 only")
+            raise ValueError("power tables are implemented for p = 2 only")
         n = self.order - 1
         chunk = min(_TABLE_CHUNK, n)
         block = self.geometric_block(self.generator, chunk)
@@ -423,14 +425,14 @@ class FiniteField:
         for lo, start in zip(range(0, n, chunk), starts):
             # g^i for lo <= i < lo + chunk
             exps[lo : lo + chunk] = _xor_gather(start, block[: n - lo])
-        # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1
-        masks = _xor_tables(np.array(self._dual_masks, dtype=np.uint64)).astype(np.uint32)
-        dual_table = np.zeros(self.order, dtype=np.uint32)
-        dual_table[1] = self.trace_dual(1)
+        # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1 (np.put
+        # scatters faster than assigning through an index array)
+        inv = np.zeros(self.order, dtype=np.uint32)
+        inv[1] = 1
         for lo in range(1, n, chunk):
             hi = min(lo + chunk, n)
-            dual_table[exps[lo:hi]] = _xor_gather(masks, exps[n - lo : n - hi : -1])
-        return exps, dual_table
+            np.put(inv, exps[lo:hi], exps[n - lo : n - hi : -1])
+        return exps, inv
 
     def bulk_decode(self, codes: np.ndarray) -> np.ndarray:
         """Base-p digits of each code (``gfpoly.decode`` padded to m), one
@@ -607,7 +609,8 @@ def _cyclic_pairs(i: np.ndarray, m: int) -> np.ndarray:
 
 def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
     m, n = field.m, field.order - 1
-    exps, duals = field.power_tables()
+    exps, inv = field.power_tables()
+    masks = _xor_tables(np.array(field._dual_masks, dtype=np.uint64)).astype(np.uint32)
     num_terms = [e % n for e, c in enumerate(f.num) if c]
     den_terms = [e % n for e, c in enumerate(f.den) if c]
 
@@ -620,9 +623,10 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
 
     def signs(lo, k):
         # (-1)^Tr(f(x)) at x = g^(lo + j), 0 at the poles: Tr(N/D) =
-        # parity(N & M(1/D)), and D = 0 reads duals[0] = 0
+        # parity(N & M(1/D)), and D = 0 reads M(inv[0]) = 0
         den_vals = eval_terms(den_terms, lo, k)
-        odd = np.bitwise_count(eval_terms(num_terms, lo, k) & np.take(duals, den_vals)) & np.uint8(1)
+        duals = _xor_gather(masks, np.take(inv, den_vals))
+        odd = np.bitwise_count(eval_terms(num_terms, lo, k) & duals) & np.uint8(1)
         return (den_vals != 0).astype(np.int8) - 2 * odd.astype(np.int8)
 
     total = _zero_point_term(field, f) + int(signs(0, 1)[0])  # x = 0 and x = 1 = g^0

@@ -361,6 +361,25 @@ class TestGsumScan:
         for k, m, v in table.entries:
             assert v == gsum(k, m)
 
+    def test_each_distinct_sum_taken_once(self, monkeypatch):
+        # gsum(k, m) depends on (min(k mod m, -k mod m), m) alone: a 40 x 3
+        # scan has 5 such pairs, (0, 1), (0, 2), (1, 2), (0, 3) and (1, 3)
+        from lpdiv import curves
+
+        char_sum = curves.char_sum
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return char_sum(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "char_sum", spy)
+        table = gsum_invariance_scan(40, 3)
+        assert len(calls) == 5
+        monkeypatch.setattr(curves, "char_sum", char_sum)
+        assert len(table.entries) == 120
+        assert all(v == gsum(k, m) for k, m, v in table.entries)
+
     def test_gcd_rule_examples(self):
         table = gsum_invariance_scan(4, 6)
         assert table.value(2, 4) == table.value(2, 4)  # gcd(2,4)=2: self

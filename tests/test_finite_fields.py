@@ -822,7 +822,7 @@ class TestTableKernel:
     @pytest.mark.parametrize("p,m", [(2, 1), (2, 7), (2, 12), (3, 5), (5, 3)])
     @pytest.mark.parametrize("chunk", [97, 1 << 15])
     def test_power_tables_exhaustive(self, p, m, chunk, monkeypatch):
-        # odd p has no trace-dual tables; test_small_log_tables_are_inverse
+        # odd p has no power tables; test_small_log_tables_are_inverse
         # checks its powers of g
         monkeypatch.setattr(finite_fields, "_TABLE_CHUNK", chunk)
         field = make_field(p, m)
@@ -830,18 +830,32 @@ class TestTableKernel:
             with pytest.raises(ValueError):
                 field.power_tables()
             return
-        exps, duals = field.power_tables()
-        assert (exps.dtype, duals.dtype) == (np.uint32, np.uint32)
+        exps, inv = field.power_tables()
+        assert (exps.dtype, inv.dtype) == (np.uint32, np.uint32)
         want = [field.pow_el(field.generator, i) for i in range(field.order - 1)]
         assert exps.tolist() == want
-        assert duals[0] == 0
+        assert inv[0] == 0
+        # y * inv[y] = 1 in the oracle's own arithmetic, for every y != 0
         o = oracles.tuple_field(p, m, field.modulus)
-        invs = [0] + [o.code(o.inv(o.element(y))) for y in range(1, field.order)]
-        assert duals[1:].tolist() == [field.trace_dual(v) for v in invs[1:]]
-        if m <= 7:  # Tr(x/y) = parity(x & duals[y]) for every x and y
-            for y in range(1, field.order):
-                got = [(x & int(duals[y])).bit_count() & 1 for x in range(field.order)]
-                assert got == [trace(field, field.mul(x, invs[y])) for x in range(field.order)]
+        assert all(o.mul(o.element(y), o.element(int(inv[y]))) == (1,) for y in range(1, field.order))
+
+    def test_dual_masks_only_on_the_walked_denominators(self, monkeypatch):
+        # M is applied to the denominators the walk reads, at x = 1 and at
+        # the 2^(m-2) orbit representatives, never to the whole inverse table
+        m = 12
+        field = make_field(2, m)
+        masks = finite_fields._xor_tables(np.array(field._dual_masks, dtype=np.uint64)).astype(np.uint32)
+        gather = finite_fields._xor_gather
+        codes = []
+
+        def spy(tables, values):
+            if tables.dtype == masks.dtype and np.array_equal(tables, masks):
+                codes.append(values.size)
+            return gather(tables, values)
+
+        monkeypatch.setattr(finite_fields, "_xor_gather", spy)
+        assert char_sum(field, TABLE_MAPS[0]) == oracles.naive_char_sum(m, TABLE_MAPS[0])
+        assert 0 < sum(codes) <= 2 ** (m - 2) + 1
 
     @pytest.mark.parametrize(
         "n,k,start,step",
@@ -875,7 +889,7 @@ class TestTableKernel:
         assert peak <= 2**16  # refused before any table is allocated
 
     def test_table_kernel_memory_is_bounded(self):
-        # exps and duals take 8 bytes per element (8 MB here) plus one
+        # exps and inv take 8 bytes per element (8 MB here) plus one
         # chunk; 16-byte tables and full-length index arrays took 74 MB.
         field = make_field(2, 20)
         tracemalloc.start()
