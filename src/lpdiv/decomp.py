@@ -92,10 +92,6 @@ class DivisibilityReport:
     quotient_in_tk: bool
     verdict: Verdict
 
-    @property
-    def hyp1_ok(self) -> bool:
-        return self.hyp1_first_fail is None
-
     def to_json_dict(self) -> dict:
         return {
             "schema": SCHEMA_VERSION,
@@ -354,19 +350,14 @@ def _quotient_structure(k: int, quot: IntPoly) -> QuotientStructure:
 
 @dataclass(frozen=True)
 class GsumTable:
-    """Exponential sums over a (k, m) rectangle with every violation of
-    value(k, m) == value(gcd(k, m), m) recorded."""
+    """Exponential sums over a (k, m) rectangle, as ascending (k, m, G_m^(k))
+    entries, with every (k, m) whose sum differs from that of
+    (gcd(k, m), m) recorded."""
 
     k_max: int
     m_max: int
     entries: tuple[tuple[int, int, int], ...]
     mismatches: tuple[tuple[int, int], ...]
-
-    def value(self, k: int, m: int) -> int:
-        return self._index()[(k, m)]
-
-    def _index(self) -> dict:
-        return {(k, m): v for k, m, v in self.entries}
 
     def to_json_dict(self) -> dict:
         return {

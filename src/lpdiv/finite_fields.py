@@ -359,14 +359,6 @@ class FiniteField:
             traces |= s << k
         return tuple(traces >> i & (self._top_bit - 1) for i in range(m))
 
-    def trace_dual(self, c: int) -> int:
-        """The mask M(c) with Tr(c*y) = parity(y & M(c)) for every y."""
-        out = 0
-        for i, mask in enumerate(self._dual_masks):
-            if c >> i & 1:
-                out ^= mask
-        return out
-
     # -- bulk kernels -------------------------------------------------------
 
     def _mul_tables(self, consts) -> np.ndarray:

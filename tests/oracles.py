@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 
 import numpy as np
 
@@ -211,6 +212,17 @@ def trace_by_definition(field, x: int) -> int:
     return oracle.trace(oracle.element(x))
 
 
+def trace_dual(field, c: int) -> int:
+    """The mask M(c) with Tr(c*y) = parity(y & M(c)) for every y, as the
+    XOR of the p = 2 field's masks ``_dual_masks`` over the set bits of c:
+    the scalar reference of M that the kernels read through byte tables."""
+    out = 0
+    for i, mask in enumerate(field._dual_masks):
+        if c >> i & 1:
+            out ^= mask
+    return out
+
+
 def eval_map(field: TupleField, f, x):
     """f(x) = num(x) * den(x)^(-1) for a rational map f, or None at a pole."""
     den = field.evaluate(f.den, x)
@@ -392,8 +404,8 @@ def master_identity_check(lc: LPolynomial, ld: LPolynomial, k: int) -> bool:
     criterion for all m at once."""
     if lc.q != ld.q:
         raise ValueError("L-polynomials must share the base field size")
-    lhs = lc.poly**k * norm_to_tk(ld.poly, k).inflate(k)
-    rhs = ld.poly**k * norm_to_tk(lc.poly, k).inflate(k)
+    lhs = prod([lc.poly] * k, start=IntPoly([1])) * norm_to_tk(ld.poly, k).inflate(k)
+    rhs = prod([ld.poly] * k, start=IntPoly([1])) * norm_to_tk(lc.poly, k).inflate(k)
     return lhs == rhs
 
 

@@ -199,7 +199,7 @@ def test_criterion_7_theorem_oracles_on_synthetic_instances():
             assert rep.verdict is not Verdict.VIOLATION, (q, k, lc, ld)
             verdicts[rep.verdict] += 1
             if qpoly is not None:
-                assert rep.hyp1_ok  # the converse: Q(t^k) L_C has L_C's counts
+                assert rep.hyp1_first_fail is None  # the converse: Q(t^k) L_C has L_C's counts
             # counts compared only up to a short horizon still never make
             # an independent pair a violation
             for short in (1, 2, 3):

@@ -142,6 +142,66 @@ class TestDeterminism:
         assert one == two
 
 
+
+# Byte-exact ``--format table`` reports, one per branch of the table writer
+TABLE_REPORTS = {
+    "scan-gsum": (("scan-gsum", "--k", "5", "--m", "20"), """\
+k\\m      1     2     3     4     5     6     7     8     9    10    11    12    13    14    15    16    17    18    19    20
+1        1    -1     7     7    -9    -1   -41    31     7    79    23  -161   -25  -337   567   127   647  -433 -2089   287
+2        1     3     7    -1    -9    15   -41    -1     7   143    23  -289   -25   -81   567  -385   647   591 -2089 -1761
+3        1    -1    -5     7    -9    -1   -41    31   103    79    23   223   -25  -337  1335   127   647  -433 -2089   287
+4        1     3     7    -1    -9    15   -41    -1     7   143    23   479   -25   -81   567  -385   647   591 -2089 -1761
+5        1    -1     7     7    11    -1   -41    31     7    -1    23  -161   -25  -337   887   127   647  -433 -2089  -993
+all (k, m) consistent with the gcd rule
+"""),
+    "counterexample": (("counterexample",), """\
+F_3 counterexample: L_C = 3t^2 + t + 1, L_D = 9t^4 + 3t^3 - 2t^2 + t + 1
+  [PASS] both polynomials are valid L-polynomials
+  [PASS] counts equal for m <= 25 coprime to 6
+  [PASS] counts differ at m = 2 (s_2: -5 vs 5)
+  [PASS] L_C does not divide L_D
+  [PASS] extensions of L_C stay squarefree (n <= 12)
+  overall: PASS
+"""),
+    "lpoly": (("lpoly", "--curve", "SAMPLE:d1.json"), """\
+q = 2
+g = 2
+L(t) = 4t^4 + 2t^3 + t + 1
+"""),
+    "count": (("count", "--curve", "SAMPLE:d1.json", "--m", "3"), """\
+schema = 1
+type = point_count
+q = 2
+m = 3
+count = 16
+"""),
+    "gsum": (("gsum", "--k", "1", "--m", "2"), """\
+schema = 1
+type = gsum
+k = 1
+m = 2
+value = -1
+"""),
+    "check-div-holds": (("check-div", "--lc", "SAMPLE:d1.json", "--ld", "SAMPLE:d2.json", "--k", "2"), """\
+divisibility check  k=2  q=2  horizon=10
+  L_C = 4t^4 + 2t^3 + t + 1
+  L_D = 8t^6 + 4t^5 + 4t^4 + 4t^3 + 2t^2 + t + 1
+  hyp 1: counts equal for all m <= 10 with 2 | m excluded
+  hyp 2: k-th power roots distinct (squarefree): True
+  divides: True   quotient: 2t^2 + 1   in Z[t^k]: True
+  verdict: TheoremApplies&Holds
+"""),
+}
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("name", TABLE_REPORTS)
+    def test_table_report_is_byte_exact(self, capsys, name):
+        argv, expected = TABLE_REPORTS[name]
+        argv = [a.replace("SAMPLE:", str(SAMPLES) + "/") for a in argv]
+        assert run_cli(capsys, *argv, "--format", "table", "--threads", "1") == (0, expected, "")
+
+
 class TestErrors:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "count", "--curve", "no-such.json", "--m", "1")

@@ -60,7 +60,7 @@ class TestCheckMainTheorem:
         assert rep.verdict is Verdict.HOLDS
         assert rep.quotient == IntPoly([1, 0, 2])
         assert rep.quotient_in_tk
-        assert rep.hyp1_ok and rep.hyp2_squarefree
+        assert rep.hyp1_first_fail is None and rep.hyp2_squarefree
 
     def test_identical_curves_trivial(self):
         rep = check_curves(dk_curve(1), dk_curve(1), 2, 10)
@@ -184,7 +184,7 @@ def converse_holds(lc: LPolynomial, qpoly: IntPoly, k: int, horizon: int) -> boo
     """Hypothesis 1 of the criterion for L_C against Q(t^k) L_C, which the
     converse says always holds."""
     ld = LPolynomial(q=lc.q, g=lc.g + k * qpoly.degree // 2, poly=qpoly.inflate(k) * lc.poly)
-    return check_main_theorem(lc, ld, k, horizon).hyp1_ok
+    return check_main_theorem(lc, ld, k, horizon).hyp1_first_fail is None
 
 
 class TestConverse:
@@ -380,10 +380,21 @@ class TestGsumScan:
         assert len(table.entries) == 120
         assert all(v == gsum(k, m) for k, m, v in table.entries)
 
-    def test_gcd_rule_examples(self):
+    def test_gcd_rule_examples(self, monkeypatch):
         table = gsum_invariance_scan(4, 6)
-        assert table.value(2, 4) == table.value(2, 4)  # gcd(2,4)=2: self
-        assert table.value(4, 6) == table.value(2, 6)  # gcd(4,6)=2
+        assert all(v == gsum(k, m) for k, m, v in table.entries)
+        assert table.mismatches == ()
+        # one sum off by one: at m = 5, k = 2 and k = 3 fold to i = 2 and
+        # are compared with the gcd column k = 1 (i = 1); k = 4 folds to
+        # i = 1 and stays consistent
+        from lpdiv import decomp
+        from lpdiv.curves import gsum_exponent
+
+        def off_by_one(k, m, **kwargs):
+            return gsum(k, m, **kwargs) + ((gsum_exponent(k, m), m) == (2, 5))
+
+        monkeypatch.setattr(decomp, "gsum", off_by_one)
+        assert gsum_invariance_scan(4, 6).mismatches == ((2, 5), (3, 5))
 
     def test_scan_beyond_the_bound_refused_before_summing(self, monkeypatch):
         from lpdiv import curves
@@ -465,7 +476,7 @@ class TestTheoremOracles:
                 ld = oracles.make_weil_lpoly(rng, q, rng.randint(1, 3))
             identity = oracles.master_identity_check(lc, ld, k)
             reach = k * (lc.poly.degree + ld.poly.degree) - 1
-            assert check_main_theorem(lc, ld, k, reach).hyp1_ok is identity
+            assert (check_main_theorem(lc, ld, k, reach).hyp1_first_fail is None) is identity
             for horizon in (1, 2, 3):
                 rep = check_main_theorem(lc, ld, k, horizon)
                 assert rep.verdict is not Verdict.VIOLATION, (k, lc, ld, horizon)
