@@ -15,7 +15,6 @@ import sys
 
 from .curves import base_field_size, count_points, curve_from_json_dict, genus, gsum
 from .decomp import (
-    SCHEMA_VERSION,
     CounterexampleReport,
     DivisibilityReport,
     DkReport,
@@ -25,6 +24,7 @@ from .decomp import (
     check_main_theorem,
     counterexample_f3,
     gsum_invariance_scan,
+    json_report,
     verify_conjecture_dk,
 )
 from .intpoly import format_poly
@@ -176,48 +176,32 @@ def _to_table(report) -> str:
         lines += [f"  [{'PASS' if ok else 'FAIL'}] {text}" for text, ok in rows]
         lines.append(f"  overall: {'PASS' if report.ok else 'FAIL'}")
         return "\n".join(lines) + "\n"
-    if isinstance(report, LPolynomial):
-        return (
-            f"q = {report.q}\ng = {report.g}\nL(t) = {format_poly(report.poly)}\n"
-        )
     if isinstance(report, dict):
         return "\n".join(f"{k} = {v}" for k, v in report.items()) + "\n"
-    return str(report) + "\n"
+    raise TypeError(f"no table form for {type(report).__name__}")
 
 
 def run(config: argparse.Namespace) -> int:
     """Execute one command, given the namespace ``build_parser`` parses;
     prints the report and returns the exit status."""
-    cmd = config.command
+    cmd, status = config.command, EXIT_OK
     if cmd == "count":
         curve = curve_from_json_dict(_load_json(config.curve))
         n = count_points(curve, config.m, threads=config.threads)
-        payload = {
-            "schema": SCHEMA_VERSION, "type": "point_count",
-            "q": base_field_size(curve), "m": config.m, "count": n,
-        }
-        sys.stdout.write(emit_report(payload, config.fmt))
-        return EXIT_OK
-    if cmd == "lpoly":
+        report = json_report("point_count", q=base_field_size(curve), m=config.m, count=n)
+    elif cmd == "lpoly":
         curve = curve_from_json_dict(_load_json(config.curve))
         lp = curve_lpoly(curve, config.horizon, threads=config.threads)
         if config.fmt == "json":
-            payload = {"schema": SCHEMA_VERSION, "type": "lpolynomial", **lp.to_json_dict(),
-                       "poly": format_poly(lp.poly, spaced=False)}
-            sys.stdout.write(emit_report(payload, "json"))
+            report = json_report("lpolynomial", **lp.to_json_dict(), poly=format_poly(lp.poly, spaced=False))
         else:
-            sys.stdout.write(emit_report(lp, "table"))
-        return EXIT_OK
-    if cmd == "gsum":
+            report = {"q": lp.q, "g": lp.g, "L(t)": format_poly(lp.poly)}
+    elif cmd == "gsum":
         value = gsum(config.k, config.m, threads=config.threads)
-        payload = {"schema": SCHEMA_VERSION, "type": "gsum", "k": config.k, "m": config.m, "value": value}
-        sys.stdout.write(emit_report(payload, config.fmt))
-        return EXIT_OK
-    if cmd == "verify-dk":
+        report = json_report("gsum", k=config.k, m=config.m, value=value)
+    elif cmd == "verify-dk":
         report = verify_conjecture_dk(config.k, config.horizon, threads=config.threads)
-        sys.stdout.write(emit_report(report, config.fmt))
-        return EXIT_OK
-    if cmd == "check-div":
+    elif cmd == "check-div":
         sides = [_load_side(config.lc), _load_side(config.ld)]
         (q_c, g_c), (q_d, g_d) = (
             (side.q, side.g) if isinstance(side, LPolynomial) else (base_field_size(side), genus(side))
@@ -231,17 +215,16 @@ def run(config: argparse.Namespace) -> int:
             for side in sides
         )
         report = check_main_theorem(lc, ld, config.k, horizon)
-        sys.stdout.write(emit_report(report, config.fmt))
-        return EXIT_VIOLATION if report.verdict is Verdict.VIOLATION else EXIT_OK
-    if cmd == "scan-gsum":
-        table = gsum_invariance_scan(config.k, config.m, threads=config.threads)
-        sys.stdout.write(emit_report(table, config.fmt))
-        return EXIT_OK
-    if cmd == "counterexample":
+        if report.verdict is Verdict.VIOLATION:
+            status = EXIT_VIOLATION
+    elif cmd == "scan-gsum":
+        report = gsum_invariance_scan(config.k, config.m, threads=config.threads)
+    else:  # counterexample, the last of the seven commands the parser admits
         report = counterexample_f3()
-        sys.stdout.write(emit_report(report, config.fmt))
-        return EXIT_OK if report.ok else EXIT_VIOLATION
-    raise UsageError(f"unknown command {cmd!r}")
+        if not report.ok:
+            status = EXIT_VIOLATION
+    sys.stdout.write(emit_report(report, config.fmt))
+    return status
 
 
 def main(argv=None) -> int:

@@ -27,11 +27,15 @@ a product A(t^2) B(t^p), where A(t^2) = gcd(Q(t), Q(-t)) finds such a
 split whenever one exists, so "no_split" is a proof), and the
 gcd-dependence of the associated exponential sums.  Conjecture mismatches
 are findings, not errors.
+
+A report's JSON is ``{"schema", "type"}`` plus its fields by name, with
+polynomials compact, enums by value, tuples as arrays and nested reports
+as objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from math import gcd as int_gcd
 
@@ -60,6 +64,27 @@ SCHEMA_VERSION = 1
 CRITERION_REACH_MAX = 1 << 12  # power sums and implied counts per criterion check
 
 
+def json_report(type_: str, **values) -> dict:
+    """The envelope of every JSON report: schema, type, then the values."""
+    return {"schema": SCHEMA_VERSION, "type": type_, **values}
+
+
+def _json_value(value):
+    """A report field as JSON: L-polynomials and IntPoly compact, enums by
+    value, tuples as arrays, nested reports as objects of their fields."""
+    if isinstance(value, LPolynomial):
+        value = value.poly
+    if isinstance(value, IntPoly):
+        return format_poly(value, spaced=False)
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _json_value(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 class Verdict(str, Enum):
     HOLDS = "TheoremApplies&Holds"
     VIOLATION = "TheoremApplies&ViolationFound"
@@ -70,10 +95,10 @@ class Verdict(str, Enum):
 class DivisibilityReport:
     """Full record of one divisibility check.
 
-    Hypothesis 1 is an infinite condition.  ``hyp1_equal`` lists the count
-    comparisons for m <= horizon; a VIOLATION verdict is only reached once
-    the comparison, carried to m = k (deg L_C + deg L_D) - 1, holds for
-    every m.  When that longer comparison fails, the verdict is
+    Hypothesis 1 is an infinite condition.  ``hyp1_counts_equal`` lists the
+    count comparisons for m <= horizon; a VIOLATION verdict is only reached
+    once the comparison, carried to m = k (deg L_C + deg L_D) - 1, holds
+    for every m.  When that longer comparison fails, the verdict is
     HypothesisFails and ``hyp1_first_fail`` is the m it failed at, which
     may lie beyond the horizon.  A HOLDS verdict decides hypothesis 1 for
     every m by itself: L_D = L_C * Q(t^k), and the power sums of Q(t^k)
@@ -84,7 +109,7 @@ class DivisibilityReport:
     q: int
     lc: LPolynomial
     ld: LPolynomial
-    hyp1_equal: tuple[tuple[int, bool], ...]
+    hyp1_counts_equal: tuple[tuple[int, bool], ...]
     hyp1_first_fail: int | None
     hyp2_squarefree: bool
     divides: bool
@@ -93,23 +118,7 @@ class DivisibilityReport:
     verdict: Verdict
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "divisibility_report",
-            "k": self.k,
-            "horizon": self.horizon,
-            "q": self.q,
-            "lc": format_poly(self.lc.poly, spaced=False),
-            "ld": format_poly(self.ld.poly, spaced=False),
-            "hyp1_counts_equal": [[m, eq] for m, eq in self.hyp1_equal],
-            "hyp1_first_fail": self.hyp1_first_fail,
-            "hyp1_certified_up_to": self.horizon,
-            "hyp2_squarefree": self.hyp2_squarefree,
-            "divides": self.divides,
-            "quotient": format_poly(self.quotient, spaced=False) if self.quotient is not None else None,
-            "quotient_in_tk": self.quotient_in_tk,
-            "verdict": self.verdict.value,
-        }
+        return json_report("divisibility_report", **_json_value(self), hyp1_certified_up_to=self.horizon)
 
 
 def check_criterion_inputs(
@@ -170,7 +179,7 @@ def check_main_theorem(
         q=lc.q,
         lc=lc,
         ld=ld,
-        hyp1_equal=rows,
+        hyp1_counts_equal=rows,
         hyp1_first_fail=first_fail,
         hyp2_squarefree=hyp2,
         divides=div,
@@ -248,13 +257,6 @@ class QuotientStructure:
     primes: tuple[int, ...] = ()
     parts: tuple[IntPoly, ...] = ()
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "primes": list(self.primes),
-            "parts": [format_poly(p, spaced=False) for p in self.parts],
-        }
-
 
 @dataclass(frozen=True)
 class DkReport:
@@ -270,20 +272,7 @@ class DkReport:
     quotient_two_rank: int | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "dk_report",
-            "k": self.k,
-            "genus": self.genus,
-            "horizon": self.horizon,
-            "lpoly": format_poly(self.lpoly.poly, spaced=False),
-            "d1_lpoly": format_poly(self.d1_lpoly.poly, spaced=False),
-            "divides": self.divides,
-            "quotient": format_poly(self.quotient, spaced=False) if self.quotient is not None else None,
-            "structure": self.structure.to_json_dict(),
-            "lpoly_two_rank": self.lpoly_two_rank,
-            "quotient_two_rank": self.quotient_two_rank,
-        }
+        return json_report("dk_report", **_json_value(self))
 
 
 def verify_conjecture_dk(k: int, horizon: int | None = None, *, threads: int | None = None) -> DkReport:
@@ -360,14 +349,7 @@ class GsumTable:
     mismatches: tuple[tuple[int, int], ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "gsum_table",
-            "k_max": self.k_max,
-            "m_max": self.m_max,
-            "entries": [[k, m, v] for k, m, v in self.entries],
-            "mismatches": [[k, m] for k, m in self.mismatches],
-        }
+        return json_report("gsum_table", **_json_value(self))
 
 
 def gsum_invariance_scan(k_max: int, m_max: int, *, threads: int | None = None) -> GsumTable:
@@ -443,21 +425,7 @@ class CounterexampleReport:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": SCHEMA_VERSION,
-            "type": "counterexample_f3",
-            "lc": format_poly(self.lc.poly, spaced=False),
-            "ld": format_poly(self.ld.poly, spaced=False),
-            "horizon": self.horizon,
-            "valid_lpolys": self.valid_lpolys,
-            "counts_equal_coprime_to_6": self.counts_equal_coprime_to_6,
-            "counts_differ_at_m2": self.counts_differ_at_m2,
-            "s2_values": list(self.s2_values),
-            "not_divisible": self.not_divisible,
-            "extensions_squarefree": self.extensions_squarefree,
-            "curve_equations_metadata": dict(self.curve_equations_metadata),
-            "ok": self.ok,
-        }
+        return json_report("counterexample_f3", **_json_value(self), ok=self.ok)
 
 
 def counterexample_f3() -> CounterexampleReport:

@@ -51,12 +51,14 @@ class LPolynomial:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LPolynomial":
-        """Numbers are JSON integers or decimal strings; anything else
-        raises ValueError."""
+        """Numbers are JSON integers or decimal strings, and ``coeffs`` is
+        an array of them; anything else raises ValueError."""
 
         def read(value, key):
             return int(value) if isinstance(value, str) else json_int(value, key)
 
+        if not isinstance(obj["coeffs"], list):
+            raise ValueError(f"coeffs: expected an array, got {obj['coeffs']!r}")
         return cls(
             q=read(obj["q"], "q"),
             g=read(obj["g"], "g"),

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lpdiv.cli import main
+from lpdiv.cli import emit_report, main
 
 import oracles
 
@@ -194,12 +194,114 @@ divisibility check  k=2  q=2  horizon=10
 }
 
 
-class TestTableFormat:
+# Byte-exact ``--format json`` reports.  Each expected string is the report
+# in compact form; the output must equal its sorted-key, two-space layout.
+JSON_REPORTS = {
+    "check-div-holds": (("check-div", "--lc", "SAMPLE:d1.json", "--ld", "SAMPLE:d2.json", "--k", "2"),
+        '{"divides": true, "horizon": 10, "hyp1_certified_up_to": 10, "hyp1_counts_equal": [[1, true], '
+        '[3, true], [5, true], [7, true], [9, true]], "hyp1_first_fail": null, "hyp2_squarefree": true, '
+        '"k": 2, "lc": "4t^4+2t^3+t+1", "ld": "8t^6+4t^5+4t^4+4t^3+2t^2+t+1", "q": 2, "quotient": "2t^2+1", '
+        '"quotient_in_tk": true, "schema": 1, "type": "divisibility_report", "verdict": "TheoremApplies&Holds"}'),
+    "check-div-hypothesis-fails": (
+        ("check-div", "--lc", "SAMPLE:f3_lc.json", "--ld", "SAMPLE:f3_ld.json", "--k", "6", "--horizon", "12"),
+        '{"divides": false, "horizon": 12, "hyp1_certified_up_to": 12, "hyp1_counts_equal": [[1, true], '
+        '[2, false], [3, false], [4, false], [5, true], [7, true], [8, false], [9, false], [10, false], '
+        '[11, true]], "hyp1_first_fail": 2, "hyp2_squarefree": true, "k": 6, "lc": "3t^2+t+1", '
+        '"ld": "9t^4+3t^3-2t^2+t+1", "q": 3, "quotient": null, "quotient_in_tk": false, "schema": 1, '
+        '"type": "divisibility_report", "verdict": "HypothesisFails"}'),
+    "verify-dk-2": (("verify-dk", "--k", "2"),
+        '{"d1_lpoly": "4t^4+2t^3+t+1", "divides": true, "genus": 3, "horizon": 3, "k": 2, '
+        '"lpoly": "8t^6+4t^5+4t^4+4t^3+2t^2+t+1", "lpoly_two_rank": 1, "quotient": "2t^2+1", '
+        '"quotient_two_rank": 0, "schema": 1, "structure": {"kind": "prime_power", "parts": ["2t+1"], '
+        '"primes": [2]}, "type": "dk_report"}'),
+    "verify-dk-3": (("verify-dk", "--k", "3"),
+        '{"d1_lpoly": "4t^4+2t^3+t+1", "divides": true, "genus": 5, "horizon": 5, "k": 3, '
+        '"lpoly": "32t^10+16t^9-8t^7-2t^3+t+1", "lpoly_two_rank": 1, "quotient": "8t^6-4t^3+1", '
+        '"quotient_two_rank": 0, "schema": 1, "structure": {"kind": "prime_power", "parts": ["8t^2-4t+1"], '
+        '"primes": [3]}, "type": "dk_report"}'),
+    "scan-gsum": (("scan-gsum", "--k", "2", "--m", "4"),
+        '{"entries": [[1, 1, 1], [1, 2, -1], [1, 3, 7], [1, 4, 7], [2, 1, 1], [2, 2, 3], [2, 3, 7], '
+        '[2, 4, -1]], "k_max": 2, "m_max": 4, "mismatches": [], "schema": 1, "type": "gsum_table"}'),
+    "counterexample": (("counterexample",),
+        '{"counts_differ_at_m2": true, "counts_equal_coprime_to_6": true, "curve_equations_metadata": '
+        '{"c": "y^2+(2x+1)y=x^3+2x^2+2 over F_3", "d": "y^2+(x^2+x+1)y=x^5+x^4+x^2+x+1 over F_3", '
+        '"verified": false}, "extensions_squarefree": true, "horizon": 25, "lc": "3t^2+t+1", '
+        '"ld": "9t^4+3t^3-2t^2+t+1", "not_divisible": true, "ok": true, "s2_values": [-5, 5], '
+        '"schema": 1, "type": "counterexample_f3", "valid_lpolys": true}'),
+    "lpoly": (("lpoly", "--curve", "SAMPLE:d1.json"),
+        '{"coeffs": ["1", "1", "0", "2", "4"], "g": 2, "poly": "4t^4+2t^3+t+1", "q": 2, "schema": 1, '
+        '"type": "lpolynomial"}'),
+    "count": (("count", "--curve", "SAMPLE:d1.json", "--m", "3"),
+        '{"count": 16, "m": 3, "q": 2, "schema": 1, "type": "point_count"}'),
+    "gsum": (("gsum", "--k", "1", "--m", "2"),
+        '{"k": 1, "m": 2, "schema": 1, "type": "gsum", "value": -1}'),
+}
+
+
+def run_report(capsys, argv, fmt):
+    argv = [a.replace("SAMPLE:", str(SAMPLES) + "/") for a in argv]
+    return run_cli(capsys, *argv, "--format", fmt, "--threads", "1")
+
+
+class TestReportFormat:
     @pytest.mark.parametrize("name", TABLE_REPORTS)
     def test_table_report_is_byte_exact(self, capsys, name):
         argv, expected = TABLE_REPORTS[name]
-        argv = [a.replace("SAMPLE:", str(SAMPLES) + "/") for a in argv]
-        assert run_cli(capsys, *argv, "--format", "table", "--threads", "1") == (0, expected, "")
+        assert run_report(capsys, argv, "table") == (0, expected, "")
+
+    @pytest.mark.parametrize("name", JSON_REPORTS)
+    def test_json_report_is_byte_exact(self, capsys, name):
+        argv, expected = JSON_REPORTS[name]
+        expected = json.dumps(json.loads(expected), sort_keys=True, indent=2) + "\n"
+        assert run_report(capsys, argv, "json") == (0, expected, "")
+
+    def test_scan_mismatches_are_reported(self, capsys, monkeypatch):
+        # one sum off by one, as in test_gcd_rule_examples: at m = 5, k = 2
+        # and k = 3 fold to i = 2 and differ from the gcd column k = 1
+        from lpdiv import decomp
+        from lpdiv.curves import gsum, gsum_exponent
+
+        def off_by_one(k, m, **kwargs):
+            return gsum(k, m, **kwargs) + ((gsum_exponent(k, m), m) == (2, 5))
+
+        monkeypatch.setattr(decomp, "gsum", off_by_one)
+        argv = ("scan-gsum", "--k", "3", "--m", "5")
+        assert run_report(capsys, argv, "table") == (0, """\
+k\\m   1  2  3  4  5
+1     1 -1  7  7 -9
+2     1  3  7 -1 -8
+3     1 -1 -5  7 -8
+mismatches: (k=2, m=5), (k=3, m=5)
+""", "")
+        code, out, err = run_report(capsys, argv, "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["mismatches"] == [[2, 5], [3, 5]]
+
+    @pytest.mark.parametrize("k,primes", [(4, [2]), (6, [2, 3])])
+    def test_no_split_structure_is_a_finding(self, capsys, monkeypatch, k, primes):
+        # 1 + t is neither in Z[t^2] nor a product A(t^2) B(t^3); a
+        # synthetic D_2 report carries that quotient and its structure
+        import lpdiv.cli as cli_mod
+        from dataclasses import replace
+        from lpdiv.decomp import QuotientStructure, _quotient_structure, verify_conjecture_dk
+        from lpdiv.intpoly import IntPoly
+
+        structure = _quotient_structure(k, IntPoly([1, 1]))
+        assert structure == QuotientStructure(kind="no_split", primes=tuple(primes))
+        report = replace(verify_conjecture_dk(2, threads=1), quotient=IntPoly([1, 1]), structure=structure)
+        monkeypatch.setattr(cli_mod, "verify_conjecture_dk", lambda *args, **kwargs: report)
+        code, out, err = run_report(capsys, ("verify-dk", "--k", "2"), "table")
+        assert (code, err) == (0, "")
+        assert "  quotient: t + 1\n  structure: no_split\n" in out
+        code, out, err = run_report(capsys, ("verify-dk", "--k", "2"), "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["structure"] == {"kind": "no_split", "parts": [], "primes": primes}
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_unknown_report_type_is_refused(self, capsys, fmt):
+        with pytest.raises(TypeError):
+            emit_report(object(), fmt)
+        assert capsys.readouterr() == ("", "")
 
 
 class TestErrors:
@@ -264,7 +366,9 @@ class TestErrors:
         '{"model": "as2", "f_num": [0], "f_den": [1]}',
         '{"model": "as2", "f_num": [1], "f_den": [1]}',
         '{"model": "as2", "f_num": [], "f_den": [1]}',
-    ], ids=["list", "string", "zero-den", "empty-den", "float-coeff", "constant-0", "constant-1", "constant-empty"])
+        '{"q": 2, "g": 1, "coeffs": "112"}',
+    ], ids=["list", "string", "zero-den", "empty-den", "float-coeff", "constant-0", "constant-1", "constant-empty",
+            "string-coeffs"])
     def test_malformed_file_is_an_error_line(self, capsys, tmp_path, command, content):
         bad = tmp_path / "curve.json"
         bad.write_text(content)

@@ -103,7 +103,7 @@ class TestCheckMainTheorem:
 
     def test_hyp1_table_skips_multiples_of_k(self):
         rep = check_main_theorem(L_D1, L_D1, 3, 9)
-        assert [m for m, _ in rep.hyp1_equal] == [1, 2, 4, 5, 7, 8]
+        assert [m for m, _ in rep.hyp1_counts_equal] == [1, 2, 4, 5, 7, 8]
 
     def test_k_one_rejected(self):
         with pytest.raises(ValueError):
