@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .curves import base_field_size, count_points, curve_from_json_dict, genus, gsum
 from .decomp import (
@@ -50,6 +51,7 @@ def _thread_count(text: str) -> int:
     return int(text)
 
 
+@cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lpdiv", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -82,7 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, parse=curve_from_json_dict):
+    """parse(the JSON object in the file): an error in the file, a missing
+    key or a value of the wrong kind included, names the file."""
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -92,21 +96,25 @@ def _load_json(path: str) -> dict:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise UsageError(f"{path} does not hold a JSON object")
-    return obj
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from exc
+
+
+def _curve_or_lpoly(obj: dict):
+    return curve_from_json_dict(obj) if "model" in obj else LPolynomial.from_json_dict(obj)
 
 
 def _load_side(path: str):
     """One check-div input: an object with a "model" key is a curve,
     anything else an L-polynomial, refused unless ``validate_lpoly``
     passes it."""
-    obj = _load_json(path)
-    if "model" in obj:
-        return curve_from_json_dict(obj)
-    lp = LPolynomial.from_json_dict(obj)
-    failures = validate_lpoly(lp).failures
+    side = _load_json(path, _curve_or_lpoly)
+    failures = validate_lpoly(side).failures if isinstance(side, LPolynomial) else []
     if failures:
         raise UsageError(f"{path} is not an L-polynomial: {'; '.join(failures)}")
-    return lp
+    return side
 
 
 def emit_report(report, fmt: str = "json") -> str:
@@ -186,11 +194,11 @@ def run(config: argparse.Namespace) -> int:
     prints the report and returns the exit status."""
     cmd, status = config.command, EXIT_OK
     if cmd == "count":
-        curve = curve_from_json_dict(_load_json(config.curve))
+        curve = _load_json(config.curve)
         n = count_points(curve, config.m, threads=config.threads)
         report = json_report("point_count", q=base_field_size(curve), m=config.m, count=n)
     elif cmd == "lpoly":
-        curve = curve_from_json_dict(_load_json(config.curve))
+        curve = _load_json(config.curve)
         lp = curve_lpoly(curve, config.horizon, threads=config.threads)
         if config.fmt == "json":
             report = json_report("lpolynomial", **lp.to_json_dict(), poly=format_poly(lp.poly, spaced=False))

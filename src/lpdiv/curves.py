@@ -107,14 +107,22 @@ def json_int(value, key: str) -> int:
     return value
 
 
+def json_key(obj: dict, key: str):
+    """obj[key]; a missing key raises ValueError naming it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
+
+
 def curve_from_json_dict(obj: dict) -> CurveModel:
     model = obj.get("model")
     if model == "as2":
-        num, den = (tuple(json_int(c, key) for c in obj[key]) for key in ("f_num", "f_den"))
+        num, den = (tuple(json_int(c, key) for c in json_key(obj, key)) for key in ("f_num", "f_den"))
         return ArtinSchreierCurve(RationalMap(2, num, den))
     if model == "hyper_odd":
-        h, f = (tuple(json_int(c, key) for c in obj[key]) for key in ("h", "f"))
-        return OddHyperellipticCurve(json_int(obj["p"], "p"), h, f)
+        h, f = (tuple(json_int(c, key) for c in json_key(obj, key)) for key in ("h", "f"))
+        return OddHyperellipticCurve(json_int(json_key(obj, "p"), "p"), h, f)
     raise ValueError(f"unknown curve model {model!r}")
 
 

@@ -65,28 +65,30 @@ realizations:
   Memory is bounded by these chunk sizes, not by the field.  Partial
   sums are exact ints, so the result does not depend on the partitioning;
 * a table kernel, for denominators that are not monomials, at
-  m <= ``TABLE_MAX_M``: compact tables, exps[i] = g^i and inv[y] = 1/y
-  (both uint32), 8 bytes per element, filled by one chunked walk of g and
-  one scatter of exps read backwards (``power_tables``).  The map has
-  coefficients in GF(2), so f(x^2) = f(x)^2 and Tr(y^2) = Tr(y): the sign
-  at x = g^i is constant on each orbit i -> 2i mod n = 2^m - 1, which
-  rotates the m bits of i.  Only the orbit representatives R = [2^(m-1),
-  2^(m-1) + 2^(m-2)), the indices with top bits 10 (``_orbit_range``), are
-  walked, a quarter of the group, in chunks of ``_TABLE_CHUNK`` indices;
-  i = 0 (x = 1) and x = 0 are summed on their own.  An orbit of size p
-  meets R in c*p/m indices, c its number of cyclic 10 pairs
-  (``_cyclic_pairs``), so each index of R has weight m/c: the signs are
-  summed per c (``np.bincount``) into S_c, and m * S_c / c is added for
-  each c in exact integers, an S_c with m * S_c not a multiple of c
-  raising RuntimeError as a counting bug.
-  At x = g^i each term x^e is exps[e*i mod n], an arithmetic progression
-  of indices over a chunk, read as strided slices of exps between
-  wrap-arounds (``_xor_progression``); N(x) and D(x) are XORs of such
-  terms, and Tr(N/D) is parity(N & M(inv[D])), M applied through byte
-  tables of the masks built once per count, so only to the 2^(m-2) + 1
-  denominators the walk reads.  The tables still cover the whole field,
-  since e*i mod n and D(x) reach all of it.  They are built per call and
-  not kept on the (cached, shared) field; building them is most of a
+  m <= ``TABLE_MAX_M``.  The map has coefficients in GF(2), so f(x^2) =
+  f(x)^2 and Tr(y^2) = Tr(y): the sign at x = g^i is constant on each
+  orbit i -> 2i mod n = 2^m - 1, which rotates the m bits of i.  Only
+  orbit representatives are walked (``_orbit_walk``), an eighth of the
+  group: R3, the 2^(m-3) indices with top bits 100, each of weight m/c3,
+  c3 its cyclic 100 patterns (every orbit with a cyclic 00 meets R3 in
+  c3*p/m indices, p its size), and the F(m - 1) indices with top bits 10
+  and no cyclic 00, F the Fibonacci numbers (10946 at m = 22), each of
+  weight m/c2, c2 its cyclic 10 pairs; i = 0 (x = 1) and x = 0 are summed
+  on their own.  One chunked walk of g (``power_tables``) computes g^k and
+  g^-k together for k <= n/2, in chunks of ``_TABLE_CHUNK``, and fills
+  the only order-sized table, inv[y] = 1/y (uint32), scattered both ways.
+  As each chunk passes, the terms x^e of N and D at the walked x = g^i,
+  the powers e*i mod n, are XORed into two accumulators over the walk: on
+  R3 they step by e, so each term takes strided slices of the chunk.  So
+  a count holds about 5 bytes per element: 4 of inv and 2 uint32 per
+  walked index.  Then, in pieces of ``_TABLE_CHUNK``, Tr(N/D) is
+  parity(N & M(inv[D])), M applied through byte tables of the masks built
+  once per count, so only to the 2^(m-3) + F(m - 1) + 1 denominators the
+  walk reads.  The signs are summed per class (``_orbit_classes``) into
+  S_k, and m * S_k / c is added for each class of weight m/c in exact
+  integers, an S_k with m * S_k not a multiple of c raising RuntimeError
+  as a counting bug (``_orbit_total``).  The tables are built per call
+  and not kept on the (cached, shared) field; building them is most of a
   count.  Beyond that bound such maps raise ``TooLarge``.
 """
 
@@ -394,37 +396,73 @@ class FiniteField:
         m = self.m
         return (digits @ tensor.reshape(m, m * m)).reshape(digits.shape[:-1] + (m, m)) % self.p
 
-    def power_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exps, inv) for p = 2: exps[i] = g^i for i < order - 1 and
-        inv[y] = 1/y, with inv[0] = 0; both uint32, 8 bytes per element.
-        One walk of g fills exps chunk by chunk: a geometric block of
-        ``_TABLE_CHUNK`` powers times g^lo, the chunk starts g^lo being a
-        geometric block of their own, multiplied through one table build
-        (``_mul_tables``).  One scatter of exps read backwards fills inv,
-        1/g^i = g^(n - i); the trace-dual map M is left to the caller.
-        Orders above ``POWER_TABLE_MAX`` = 2^30 raise TooLarge, so codes
-        fit uint32 and indices int32; odd p raises ValueError.  Built on
-        every call and not kept, so the caller owns and drops them."""
+    def power_tables(self, sums=(), run=range(0), points=()) -> tuple[np.ndarray, np.ndarray]:
+        """(inv, values) for p = 2, both uint32: inv[y] = 1/y, with inv[0]
+        = 0, and values[s, j] the XOR of g^(e*i mod n), n = order - 1, over
+        the exponents e >= 0 of sums[s], at the j-th walked index i: those of
+        the range ``run``, then those of ``points``.  Called with no
+        arguments, just inv, 4 bytes per element.  One chunked walk of g
+        fills both: its chunk [lo, lo + k) of k <= n // 2 holds g^k, a
+        geometric block of ``_TABLE_CHUNK`` powers of g times g^lo, beside
+        g^-k = g^(n - k), the powers of g^-1 times g^-lo (that block is
+        the first one read backwards, times one constant; the chunk starts
+        are geometric blocks of their own, and every constant is multiplied
+        through one table build), so every power g^0..g^(n-1) passes once,
+        and inv is scattered both ways.  As a chunk passes, the powers e*i mod n in it are XORed into
+        values: over the run they step by e, strided slices of the chunk
+        between wrap-arounds (``_xor_run``), and at the points they are
+        found by a sorted search.  Orders above ``POWER_TABLE_MAX`` = 2^30
+        raise TooLarge, so codes fit uint32 and indices int32; odd p raises
+        ValueError.  Built on every call and not kept, so the caller owns
+        and drops them; the trace-dual map M is left to the caller."""
         if self.order > POWER_TABLE_MAX:
             raise TooLarge(f"power tables capped at order {POWER_TABLE_MAX}")
         if self.p != 2:
             raise ValueError("power tables are implemented for p = 2 only")
         n = self.order - 1
-        chunk = min(_TABLE_CHUNK, n)
+        half = n // 2  # k <= half walked up, n - k >= half + 1 down
+        chunk = min(_TABLE_CHUNK, half + 1)
         block = self.geometric_block(self.generator, chunk)
-        starts = self._mul_tables(self.geometric_block(self.pow_el(self.generator, chunk), -(-n // chunk)))
-        exps = np.empty(n, dtype=np.uint32)
-        for lo, start in zip(range(0, n, chunk), starts):
-            # g^i for lo <= i < lo + chunk
-            exps[lo : lo + chunk] = _xor_gather(start, block[: n - lo])
-        # 1/g^i = g^(n - i) = exps[n - i] for 0 < i < n, and 1/1 = 1 (np.put
-        # scatters faster than assigning through an index array)
+        leaps = [self.pow_el(r, chunk) for r in (self.generator, self._generator_inv)]
+        # the starts g^lo and g^-lo, interleaved (tables 2t and 2t + 1 for
+        # chunk t), then g^-(chunk - 1) = g^-chunk * g, for g^-j = g^-(chunk
+        # - 1) * g^(chunk - 1 - j), j < chunk
+        consts = self.geometric_block(leaps, -(-(half + 1) // chunk)).T.reshape(-1)
+        starts = self._mul_tables([*consts, self.mul(leaps[1], self.generator)]).astype(np.uint32)
+        blocks = np.array([block, _xor_gather(starts[-1], block[::-1])], dtype=np.uint32)
+        points = np.asarray(points, dtype=np.int64)
+        values = np.zeros((len(sums), len(run) + len(points)), dtype=np.uint32)
+        on_run = []  # (row of values over the run, e) for 0 < e < n
+        dests, targets = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]  # at the points
+        for s, exponents in enumerate(sums):
+            for e in exponents:
+                e %= n
+                if e == 0:  # x^0 = 1 at every x
+                    values[s] ^= 1
+                    continue
+                on_run.append((values[s, : len(run)], e))
+                dests.append(s * values.shape[1] + len(run) + np.arange(len(points), dtype=np.int32))
+                targets.append((e * points % n).astype(np.int32))
+        # the flat index into values of each power wanted at the points, by
+        # power: each term's are a few ascending runs, which a stable sort merges
+        targets = np.concatenate(targets)
+        order = np.argsort(targets, kind="stable")
+        dests, targets = np.concatenate(dests)[order], targets[order]
+        flat = values.reshape(-1)
         inv = np.zeros(self.order, dtype=np.uint32)
-        inv[1] = 1
-        for lo in range(1, n, chunk):
-            hi = min(lo + chunk, n)
-            np.put(inv, exps[lo:hi], exps[n - lo : n - hi : -1])
-        return exps, inv
+        for t, lo in enumerate(range(0, half + 1, chunk)):
+            k = min(chunk, half + 1 - lo)
+            up = _xor_gather(starts[2 * t], blocks[0, :k])  # g^(lo + j)
+            down = _xor_gather(starts[2 * t + 1], blocks[1, :k])  # g^-(lo + j)
+            np.put(inv, up, down)  # np.put scatters faster than assigning through an index array
+            np.put(inv, down, up)
+            # powers lo.. and n - lo - k + 1.., up to n - lo; g^n = g^0 is already in up
+            for window, t0 in ((up, lo), (down[::-1][: k - (lo == 0)], n - lo - k + 1)):
+                for row, e in on_run:
+                    _xor_run(row, window, t0, e, n, run.start)
+                first, last = targets.searchsorted(np.array([t0, t0 + len(window)], dtype=targets.dtype))
+                np.bitwise_xor.at(flat, dests[first:last], window[targets[first:last] - t0])
+        return inv, values
 
     def bulk_decode(self, codes: np.ndarray) -> np.ndarray:
         """Base-p digits of each code (``gfpoly.decode`` padded to m), one
@@ -566,83 +604,115 @@ def _zero_point_term(field: FiniteField, f: RationalMap) -> int:
     return 1 - 2 * tr0
 
 
-def _xor_progression(out: np.ndarray, table: np.ndarray, start: int, step: int) -> None:
-    """out[j] ^= table[(start + step*j) mod n] for j < len(out), n =
-    len(table), 0 <= start, step < n: strided slices of the table between
-    wrap-arounds, so no index array is built."""
-    if step == 0:
-        out ^= table[start]
+def _xor_run(out: np.ndarray, window: np.ndarray, t0: int, e: int, n: int, a: int) -> None:
+    """out[j] ^= window[(e*(a + j) mod n) - t0] for each j < len(out) whose
+    power e*(a + j) mod n, 0 < e < n, lies in [t0, t0 + len(window)), with
+    t0 + len(window) <= n.  Between wrap-arounds, w = e*i // n fixed, the
+    powers step by e: each wrap's are a strided slice of the window, so no
+    index array is built."""
+    b, size = a + len(out), len(window)
+    if b == a or size == 0:
         return
-    j = 0
-    while j < len(out):
-        run = table[start::step][: len(out) - j]
-        out[j : j + len(run)] ^= run
-        j += len(run)
-        start += len(run) * step - len(table)
+    for w in range(e * a // n, e * (b - 1) // n + 1):
+        base = w * n + t0  # the i of this wrap with e*i in [base, base + size)
+        lo, hi = max(a, -(-base // e)), min(b, -(-(base + size) // e))
+        if lo < hi:
+            out[lo - a : hi - a] ^= window[e * lo - base :: e][: hi - lo]
 
 
-def _orbit_range(m: int) -> tuple[int, int]:
-    """R = [2^(m-1), 2^(m-1) + 2^(m-2)): the indices whose top two of m
-    bits are 10 (none for m = 1).  i -> 2i mod 2^m - 1 rotates the m bits
-    of i, so every orbit but {0} meets R, in exactly c*p/m indices, p the
-    orbit's size and c its number of cyclic 10 pairs (``_cyclic_pairs``):
-    of the m rotations of i, one per pair brings it to the top, and each
-    index of the orbit is m/p of them."""
-    lo = 1 << (m - 1)
-    return lo, lo + (lo >> 1)
+def _orbit_walk(m: int) -> tuple[range, np.ndarray]:
+    """The orbit representatives of i -> 2i mod n, n = 2^m - 1, which
+    rotates the m bits of i (every orbit but {0}, which is not walked):
+
+    * R3, the range of indices whose top three bits are 100, 2^(m-3) of
+      them.  An orbit with a cyclic 00 has a 1 before a run of zeros, so a
+      rotation into R3: it meets R3 in c*p/m indices, p its size and c its
+      cyclic 100 patterns (``_cyclic_triples``), one rotation per pattern;
+    * the rest, the sorted indices whose top bits are 10 and whose bits
+      hold no cyclic 00, F(m - 1) of them (Fibonacci): those of the other
+      orbits, which meet this set in c*p/m indices, c the cyclic 10 pairs
+      (``_cyclic_pairs``).  Each 0 there is followed by a 1, so for m >= 3
+      their top bits are 101, outside R3.
+
+    So the walk covers an eighth of the group plus F(m - 1) indices."""
+    top = 1 << (m - 1)
+    if m < 2:
+        return range(top, top), np.zeros(0, dtype=np.int64)
+    ones, zeros = np.zeros(0, dtype=np.int64), np.array([0b10])  # by their last bit
+    for _ in range(m - 2):  # append a bit, never 0 after 0; bit 0 wraps to the top 1
+        ones, zeros = np.concatenate([ones, zeros]) << 1 | 1, ones << 1
+    return range(top, top + (top >> 2)), np.sort(np.concatenate([ones, zeros]))
+
+
+def _cyclic_triples(i: np.ndarray, m: int) -> np.ndarray:
+    """c3(i), the cyclic 100 patterns (bit j set, bits j-1 and j-2 clear)
+    of each m-bit index i in R3 (``_orbit_walk``).  Bit m-1 is set there,
+    so no wrapped pattern occurs, and bits 0 and 1 are masked out."""
+    return np.bitwise_count(i & ~(i << 1) & ~(i << 2) & ((1 << m) - 4))
 
 
 def _cyclic_pairs(i: np.ndarray, m: int) -> np.ndarray:
-    """c(i), the cyclic 10 pairs (bit j set, bit j-1 clear) of each m-bit
-    index i in ``_orbit_range(m)``.  Bit m-1 is set there, so the wrapped
+    """c2(i), the cyclic 10 pairs (bit j set, bit j-1 clear) of each m-bit
+    index i whose top bits are 10.  Bit m-1 is set there, so the wrapped
     pair (bit 0 set, bit m-1 clear) never occurs, and bit 0 is masked out."""
     return np.bitwise_count(i & ~(i << 1) & ((1 << m) - 2))
 
 
-def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
-    m, n = field.m, field.order - 1
-    exps, inv = field.power_tables()
-    masks = _xor_tables(np.array(field._dual_masks, dtype=np.uint64)).astype(np.uint32)
-    num_terms = [e % n for e, c in enumerate(f.num) if c]
-    den_terms = [e % n for e, c in enumerate(f.den) if c]
+def _orbit_classes(m: int, run: range, rest: np.ndarray):
+    """The classes of the walked indices of ``_orbit_walk``, in walk order
+    and in pieces of at most ``_TABLE_CHUNK``: c3(i) over R3, then m + 1 +
+    c2(i) over the rest, so class k has weight m/(k mod (m + 1))."""
+    for lo in range(run.start, run.stop, _TABLE_CHUNK):
+        yield _cyclic_triples(np.arange(lo, min(lo + _TABLE_CHUNK, run.stop), dtype=np.int64), m)
+    for lo in range(0, len(rest), _TABLE_CHUNK):
+        yield m + 1 + _cyclic_pairs(rest[lo : lo + _TABLE_CHUNK], m)
 
-    def eval_terms(terms, lo, k):
-        # x = g^(lo + j) gives x^e = exps[(e*lo + e*j) mod n]
-        vals = np.zeros(k, dtype=np.uint32)
-        for e in terms:
-            _xor_progression(vals, exps, e * lo % n, e)
-        return vals
 
-    def signs(lo, k):
-        # (-1)^Tr(f(x)) at x = g^(lo + j), 0 at the poles: Tr(N/D) =
-        # parity(N & M(1/D)), and D = 0 reads M(inv[0]) = 0
-        den_vals = eval_terms(den_terms, lo, k)
-        duals = _xor_gather(masks, np.take(inv, den_vals))
-        odd = np.bitwise_count(eval_terms(num_terms, lo, k) & duals) & np.uint8(1)
-        return (den_vals != 0).astype(np.int8) - 2 * odd.astype(np.int8)
-
-    total = _zero_point_term(field, f) + int(signs(0, 1)[0])  # x = 0 and x = 1 = g^0
-    # f(x^2) = f(x)^2 and Tr(y^2) = Tr(y), so the sign is constant on each
-    # orbit i -> 2i mod n, and the orbit's sum is the sum over its indices
-    # in R with weights m/c(i)
-    lo_r, hi_r = _orbit_range(m)
-    by_pairs = np.zeros(m + 1, dtype=np.int64)  # sign sums over R by c(i)
-    for lo in range(lo_r, hi_r, _TABLE_CHUNK):
-        k = min(_TABLE_CHUNK, hi_r - lo)
-        pairs = _cyclic_pairs(np.arange(lo, lo + k, dtype=np.int64), m)
-        # float64 sums of at most _TABLE_CHUNK = 2^15 terms +-1 are exact
-        by_pairs += np.bincount(pairs, weights=signs(lo, k), minlength=m + 1).astype(np.int64)
-    # the orbits with c pairs meet R in c*p/m indices each, so m * S_c is a
-    # multiple of c, and the orbits' sum is m * S_c / c
-    for c, s in enumerate(by_pairs.tolist()):
+def _orbit_total(m: int, by_class) -> int:
+    """The sum over every orbit but {0} from the sign sums S_k of the walked
+    indices by class (``_orbit_classes``): an orbit of size p whose indices
+    have class k meets the walk in c*p/m of them, c = k mod (m + 1), so m
+    * S_k is a multiple of c and the orbits add m * S_k / c.  A remainder
+    raises RuntimeError, as a counting bug."""
+    total = 0
+    for k, s in enumerate(by_class):
+        c = k % (m + 1)
         q, r = divmod(m * s, c) if c else (0, s)
         if r:
             raise RuntimeError(
-                f"orbit sum over GF(2^{m}) with {c} cyclic 10 pairs, m * {s}, is not "
+                f"orbit sum over GF(2^{m}) with weight {m}/{c}, {m} * {s}, is not "
                 f"a multiple of {c}; this indicates a counting bug"
             )
         total += q
     return total
+
+
+def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
+    m = field.m
+    run, rest = _orbit_walk(m)
+    terms = [[e for e, c in enumerate(poly) if c] for poly in (f.num, f.den)]
+    inv, (num_vals, den_vals) = field.power_tables(terms, run, rest)
+    masks = _xor_tables(np.array(field._dual_masks, dtype=np.uint64)).astype(np.uint32)
+
+    def signs(num, den):
+        # (-1)^Tr(N/D), 0 at the poles: Tr(N/D) = parity(N & M(1/D)), and
+        # D = 0 reads M(inv[0]) = 0
+        odd = np.bitwise_count(num & _xor_gather(masks, np.take(inv, den))) & np.uint8(1)
+        return (den != 0).astype(np.int8) - 2 * odd.astype(np.int8)
+
+    # x = 0, and x = 1 = g^0, where N and D are their numbers of terms mod 2
+    at_one = np.array([[len(t) & 1] for t in terms], dtype=np.uint32)
+    total = _zero_point_term(field, f) + int(signs(*at_one)[0])
+    # f(x^2) = f(x)^2 and Tr(y^2) = Tr(y), so the sign is constant on each
+    # orbit i -> 2i mod n: per class, sign sums over the walked indices
+    by_class = np.zeros(2 * (m + 1), dtype=np.int64)
+    lo = 0
+    for classes in _orbit_classes(m, run, rest):
+        hi = lo + len(classes)
+        # float64 sums of at most _TABLE_CHUNK = 2^15 terms +-1 are exact
+        by_class += np.bincount(classes, signs(num_vals[lo:hi], den_vals[lo:hi]), 2 * (m + 1)).astype(np.int64)
+        lo = hi
+    return total + _orbit_total(m, by_class.tolist())
 
 
 def _block_length(m: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int
+from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int, json_key
 from .intpoly import (
     IntPoly,
     NotPowerSums,
@@ -52,17 +52,19 @@ class LPolynomial:
     @classmethod
     def from_json_dict(cls, obj: dict) -> "LPolynomial":
         """Numbers are JSON integers or decimal strings, and ``coeffs`` is
-        an array of them; anything else raises ValueError."""
+        an array of them; anything else, or a missing key, raises
+        ValueError."""
 
         def read(value, key):
             return int(value) if isinstance(value, str) else json_int(value, key)
 
-        if not isinstance(obj["coeffs"], list):
-            raise ValueError(f"coeffs: expected an array, got {obj['coeffs']!r}")
+        coeffs = json_key(obj, "coeffs")
+        if not isinstance(coeffs, list):
+            raise ValueError(f"coeffs: expected an array, got {coeffs!r}")
         return cls(
-            q=read(obj["q"], "q"),
-            g=read(obj["g"], "g"),
-            poly=IntPoly(read(c, "coeffs") for c in obj["coeffs"]),
+            q=read(json_key(obj, "q"), "q"),
+            g=read(json_key(obj, "g"), "g"),
+            poly=IntPoly(read(c, "coeffs") for c in coeffs),
         )
 
 

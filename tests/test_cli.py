@@ -381,6 +381,23 @@ class TestErrors:
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command,content,key", [
+        ("check-div", '{"q": 2, "g": 1}', "coeffs"),
+        ("check-div", '{"g": 1, "coeffs": ["1", "1", "2"]}', "q"),
+        ("count", '{"model": "as2", "f_num": [0, 0, 0, 1]}', "f_den"),
+        ("lpoly", '{"model": "hyper_odd", "h": [], "f": [1, 2, 0, 1]}', "p"),
+    ], ids=["lpoly-coeffs", "lpoly-q", "as2-f_den", "hyper-p"])
+    def test_missing_key_names_the_key_and_the_file(self, capsys, tmp_path, command, content, key):
+        bad = tmp_path / "input.json"
+        bad.write_text(content)
+        argv = {
+            "count": ("count", "--curve", str(bad), "--m", "3"),
+            "lpoly": ("lpoly", "--curve", str(bad)),
+            "check-div": ("check-div", "--lc", str(bad), "--ld", str(SAMPLES / "d2.json"), "--k", "2"),
+        }[command]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {bad}: missing key {key!r}\n")
+
     @pytest.mark.parametrize("lc,ld,failure", [
         ({"q": 2, "g": 0, "coeffs": ["1", "1"]}, {"q": 2, "g": 0, "coeffs": ["1"]}, "degree 1 != 2g = 0"),
         ({"q": 3, "g": 1, "coeffs": ["2", "1", "6"]}, {"q": 3, "g": 1, "coeffs": ["2", "1", "6"]},
@@ -504,6 +521,15 @@ class TestErrors:
             "--k", k, "--horizon", horizon,
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_parser_is_built_once(self, capsys):
+        from lpdiv import cli
+
+        assert cli.build_parser() is cli.build_parser()
+        hits = cli.build_parser.cache_info().hits
+        run_cli(capsys, "gsum", "--k", "1", "--m", "2")
+        run_cli(capsys, "gsum", "--k", "1", "--m", "3", "--format", "table")
+        assert cli.build_parser.cache_info().hits == hits + 2
 
 
 class TestEntryPoint:

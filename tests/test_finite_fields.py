@@ -51,6 +51,14 @@ def _running_products(field, a: int, count: int, start: int = 1) -> list[int]:
     return out
 
 
+def _fibonacci(k: int) -> int:
+    """F(k), F(0) = 0 and F(1) = 1."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
 def _laurent(terms) -> RationalMap:
     """Sum of x^e over the exponents in terms, as num / x^j."""
     j = max(0, -min(terms))
@@ -771,8 +779,9 @@ class TestTableKernel:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_kernel_equals_naive_exhaustive(self, m, monkeypatch):
-        # Again with chunks of 3 and 97 indices, which divide neither n nor
-        # the 2^(m-2) orbit representatives, so both walks end mid-chunk.
+        # Again with chunks of 3 and 97 indices, which divide neither the
+        # n // 2 + 1 steps of the walk of g nor the 2^(m-3) indices of R3, so
+        # both end mid-chunk; m = 1 and 2 walk no R3 at all.
         field = make_field(2, m)
         want = [oracles.naive_char_sum(m, f) for f in TABLE_MAPS]
         assert [char_sum(field, f) for f in TABLE_MAPS] == want
@@ -783,22 +792,34 @@ class TestTableKernel:
     @pytest.mark.parametrize("m", range(1, 23))
     def test_orbit_weights_are_exact(self, m):
         # every nonzero index i < n = 2^m - 1 is counted once: the weights
-        # m/c(i) over the representatives add up to n - 1
-        lo, hi = finite_fields._orbit_range(m)
-        pairs = finite_fields._cyclic_pairs(np.arange(lo, hi, dtype=np.int64), m)
-        by_pairs = np.bincount(pairs, minlength=1)
-        assert by_pairs[0] == 0
-        assert m * sum(Fraction(int(k), c) for c, k in enumerate(by_pairs) if k) == 2**m - 2
+        # m/c over the walked indices add up to n - 1, so the finish of a
+        # sign +1 at every walked index is n - 1 too
+        run, rest = finite_fields._orbit_walk(m)
+        assert (len(run), len(rest)) == (2 ** (m - 3) if m >= 3 else 0, _fibonacci(m - 1))
+        classes = np.concatenate([np.zeros(0, np.uint8), *finite_fields._orbit_classes(m, run, rest)])
+        by_class = np.bincount(classes, minlength=2 * (m + 1))
+        assert by_class[0] == by_class[m + 1] == 0
+        assert m * sum(Fraction(int(k), c % (m + 1)) for c, k in enumerate(by_class) if k) == 2**m - 2
+        assert finite_fields._orbit_total(m, by_class.tolist()) == 2**m - 2
 
-    @pytest.mark.parametrize("m", range(2, 11))
+    @pytest.mark.parametrize("m", range(2, 12))
     def test_orbit_weights_per_orbit(self, m):
-        # Orbits of i -> 2i mod n by brute force, and c(i) from the bit
-        # string: each orbit's weights over its indices in R add up to its
-        # size, and R holds exactly the indices whose top bits are 10.
+        # Orbits of i -> 2i mod n by brute force, and c3, c2 from the bit
+        # strings.  R3 holds exactly the indices whose top bits are 100, the
+        # rest those whose top bits are 10 with no cyclic 00; an orbit with a
+        # cyclic 00 meets only R3, any other only the rest, and each orbit's
+        # weights over the indices it meets add up to its size.
         n = 2**m - 1
-        lo, hi = finite_fields._orbit_range(m)
-        assert list(range(lo, hi)) == [i for i in range(n) if i >> (m - 2) == 0b10]
-        pairs = finite_fields._cyclic_pairs(np.arange(lo, hi, dtype=np.int64), m)
+
+        def cyclic(i, pattern):
+            bits = format(i, f"0{m}b") * 2
+            return sum(bits[t : t + len(pattern)] == pattern for t in range(m))
+
+        run, rest = finite_fields._orbit_walk(m)
+        assert list(run) == [i for i in range(n) if m >= 3 and i >> (m - 3) == 0b100]
+        assert rest.tolist() == [i for i in range(n) if i >> (m - 2) == 0b10 and not cyclic(i, "00")]
+        classes = np.concatenate([np.zeros(0, np.uint8), *finite_fields._orbit_classes(m, run, rest)])
+        class_of = dict(zip([*run, *rest.tolist()], classes.tolist()))
         seen = set()
         for i in range(1, n):
             if i in seen:
@@ -806,21 +827,33 @@ class TestTableKernel:
             orbit = {i * 2**r % n for r in range(m)}
             seen |= orbit
             weight = 0
-            for j in (j for j in orbit if lo <= j < hi):
-                bits = format(j, f"0{m}b")
-                c = sum(bits[t] == "1" and bits[(t + 1) % m] == "0" for t in range(m))
-                assert pairs[j - lo] == c
-                weight += Fraction(m, c)
+            for j in orbit & class_of.keys():
+                if cyclic(i, "00"):
+                    assert j in run and class_of[j] == cyclic(j, "100")
+                else:
+                    assert j not in run and class_of[j] == m + 1 + cyclic(j, "10")
+                weight += Fraction(m, class_of[j] % (m + 1))
             assert weight == len(orbit)
 
-    def test_non_integral_orbit_sum_is_a_counting_bug(self, monkeypatch):
-        pairs = finite_fields._cyclic_pairs
-        monkeypatch.setattr(finite_fields, "_cyclic_pairs", lambda i, m: pairs(i, m) + 1)
+    @pytest.mark.parametrize("name", ["_cyclic_triples", "_cyclic_pairs"])
+    def test_non_integral_orbit_sum_is_a_counting_bug(self, monkeypatch, name):
+        # c3 or c2 off by one leaves an m * S_c that c does not divide
+        count = getattr(finite_fields, name)
+        monkeypatch.setattr(finite_fields, name, lambda i, m: count(i, m) + 1)
         with pytest.raises(RuntimeError, match="counting bug"):
-            char_sum(make_field(2, 4), TABLE_MAPS[0])
+            char_sum(make_field(2, 10), TABLE_MAPS[0])
 
-    @pytest.mark.parametrize("p,m", [(2, 1), (2, 7), (2, 12), (3, 5), (5, 3)])
-    @pytest.mark.parametrize("chunk", [97, 1 << 15])
+    def test_every_part_of_the_walk_counts(self, monkeypatch):
+        # dropping the indices outside R3 loses whole orbits without breaking
+        # the integrality of any class, so only the values show it
+        field = make_field(2, 9)
+        want = [oracles.naive_char_sum(9, f) for f in TABLE_MAPS]
+        walk = finite_fields._orbit_walk
+        monkeypatch.setattr(finite_fields, "_orbit_walk", lambda m: (walk(m)[0], walk(m)[1][:0]))
+        assert [char_sum(field, f) for f in TABLE_MAPS] != want
+
+    @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 7), (2, 12), (3, 5), (5, 3)])
+    @pytest.mark.parametrize("chunk", [3, 97, 1 << 15])
     def test_power_tables_exhaustive(self, p, m, chunk, monkeypatch):
         # odd p has no power tables; test_small_log_tables_are_inverse
         # checks its powers of g
@@ -830,18 +863,32 @@ class TestTableKernel:
             with pytest.raises(ValueError):
                 field.power_tables()
             return
-        exps, inv = field.power_tables()
-        assert (exps.dtype, inv.dtype) == (np.uint32, np.uint32)
-        want = [field.pow_el(field.generator, i) for i in range(field.order - 1)]
-        assert exps.tolist() == want
+        inv, values = field.power_tables()
+        assert (inv.dtype, values.shape) == (np.uint32, (0, 0))
         assert inv[0] == 0
         # y * inv[y] = 1 in the oracle's own arithmetic, for every y != 0
         o = oracles.tuple_field(p, m, field.modulus)
         assert all(o.mul(o.element(y), o.element(int(inv[y]))) == (1,) for y in range(1, field.order))
+        # every term x^e at every index, over a run and at points in any
+        # order: a constant, e above n, e sharing a factor with n, and a
+        # term twice, which cancels
+        n = field.order - 1
+        powers = [field.pow_el(field.generator, t) for t in range(n)]
+        sums = [[1], [0, 3, 2 * n + 5], [n - 1, 7, 7, 2]]
+        run = range(n // 3, n)
+        points = np.random.default_rng(m).integers(0, n, 40)
+        inv_again, values = field.power_tables(sums, run, points)
+        assert np.array_equal(inv_again, inv) and values.dtype == np.uint32
+        want = [[0] * (len(run) + len(points)) for _ in sums]
+        for s, exponents in enumerate(sums):
+            for j, i in enumerate([*run, *points.tolist()]):
+                for e in exponents:
+                    want[s][j] ^= powers[e * i % n]
+        assert values.tolist() == want
 
     def test_dual_masks_only_on_the_walked_denominators(self, monkeypatch):
         # M is applied to the denominators the walk reads, at x = 1 and at
-        # the 2^(m-2) orbit representatives, never to the whole inverse table
+        # the 2^(m-3) + F(m-1) walked indices, never to the whole inverse table
         m = 12
         field = make_field(2, m)
         masks = finite_fields._xor_tables(np.array(field._dual_masks, dtype=np.uint64)).astype(np.uint32)
@@ -855,27 +902,31 @@ class TestTableKernel:
 
         monkeypatch.setattr(finite_fields, "_xor_gather", spy)
         assert char_sum(field, TABLE_MAPS[0]) == oracles.naive_char_sum(m, TABLE_MAPS[0])
-        assert 0 < sum(codes) <= 2 ** (m - 2) + 1
+        assert sum(codes) == 2 ** (m - 3) + _fibonacci(m - 1) + 1
 
     @pytest.mark.parametrize(
-        "n,k,start,step",
+        "n,a,k,e,t0,size",
         [
-            (13, 40, 5, 3),  # k > n: several wraps
-            (13, 7, 12, 1),  # start = n - 1
-            (100, 5, 7, 31),  # step > k
-            (13, 20, 0, 12),  # step = n - 1
-            (12, 30, 4, 9),  # step shares the factor 3 with n
-            (12, 30, 11, 6),  # step divides n
-            (1, 4, 0, 0),  # n = 1
-            (10, 6, 3, 0),  # step 0, as for x^0
+            (13, 5, 40, 3, 0, 13),  # the whole table, several wraps
+            (13, 0, 7, 12, 4, 5),  # e = n - 1, from i = 0
+            (100, 7, 5, 31, 50, 50),  # e > k
+            (12, 4, 30, 9, 3, 4),  # e shares the factor 3 with n
+            (12, 11, 30, 6, 0, 12),  # e divides n
+            (10, 3, 6, 1, 9, 1),  # a window of one, the last power
+            (10, 3, 0, 1, 0, 10),  # no output
+            (10, 3, 6, 1, 5, 0),  # an empty window
         ],
     )
-    def test_xor_progression_matches_take(self, n, k, start, step):
-        table = np.random.default_rng(n * k + step).integers(0, 2**32, n, dtype=np.uint32)
+    def test_xor_run_matches_take(self, n, a, k, e, t0, size):
+        # the window is a view read backwards, as the walk's g^-k chunk is
+        table = np.random.default_rng(n * k + e).integers(0, 2**32, n, dtype=np.uint32)
+        window = table[::-1].copy()[::-1][t0 : t0 + size]
         base = np.arange(k, dtype=np.uint32) * np.uint32(0x9E3779B1)
         out = base.copy()
-        finite_fields._xor_progression(out, table, start, step)
-        assert out.tolist() == (base ^ np.take(table, (start + step * np.arange(k)) % n)).tolist()
+        finite_fields._xor_run(out, window, t0, e, n, a)
+        powers = e * (a + np.arange(k)) % n
+        hit = (powers >= t0) & (powers < t0 + size)
+        assert out.tolist() == (base ^ np.where(hit, table[powers], 0)).tolist()
 
     def test_power_tables_refused_above_2_30(self):
         field = make_field(2, 31)
@@ -888,14 +939,17 @@ class TestTableKernel:
             tracemalloc.stop()
         assert peak <= 2**16  # refused before any table is allocated
 
-    def test_table_kernel_memory_is_bounded(self):
-        # exps and inv take 8 bytes per element (8 MB here) plus one
-        # chunk; 16-byte tables and full-length index arrays took 74 MB.
-        field = make_field(2, 20)
+    @pytest.mark.parametrize("m,bound", [(20, 8 * 2**20), (22, 26 * 2**20)])
+    def test_table_kernel_memory_is_bounded(self, m, bound):
+        # inv takes 4 bytes per element (16 MiB at m = 22), and the values of
+        # N and D 8 bytes per walked index (4.3 MiB), plus one chunk; with
+        # the g^i table beside inv, 33.4 MiB at m = 22, and 16-byte tables
+        # and full-length index arrays took 74 MB at m = 20.
+        field = make_field(2, m)
         tracemalloc.start()
         try:
             char_sum(field, TABLE_MAPS[0], threads=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        assert peak <= bound
