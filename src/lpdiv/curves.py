@@ -54,13 +54,12 @@ class NotReduced(ValueError):
 
 @dataclass(frozen=True)
 class ArtinSchreierCurve:
-    """y^2 + y = f(x) over GF(2)."""
+    """y^2 + y = f(x) over GF(2), f a ``RationalMap`` (over GF(2) by
+    construction) with at least one pole and every pole of odd order."""
 
     f: RationalMap
 
     def __post_init__(self):
-        if self.f.p != 2:
-            raise ValueError("Artin-Schreier model requires characteristic 2")
         if not _pole_places(self.f):  # raises NotReduced on an even pole order
             raise ValueError("right side f must have a pole (a constant f gives no curve)")
 
@@ -115,13 +114,22 @@ def json_key(obj: dict, key: str):
         raise ValueError(f"missing key {key!r}") from None
 
 
+def json_array(obj: dict, key: str) -> list:
+    """obj[key], a JSON array; a missing key or any other value (a string
+    or a number included) raises ValueError naming the key."""
+    value = json_key(obj, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key}: expected an array, got {value!r}")
+    return value
+
+
 def curve_from_json_dict(obj: dict) -> CurveModel:
     model = obj.get("model")
     if model == "as2":
-        num, den = (tuple(json_int(c, key) for c in json_key(obj, key)) for key in ("f_num", "f_den"))
-        return ArtinSchreierCurve(RationalMap(2, num, den))
+        num, den = (tuple(json_int(c, key) for c in json_array(obj, key)) for key in ("f_num", "f_den"))
+        return ArtinSchreierCurve(RationalMap(num, den))
     if model == "hyper_odd":
-        h, f = (tuple(json_int(c, key) for c in json_key(obj, key)) for key in ("h", "f"))
+        h, f = (tuple(json_int(c, key) for c in json_array(obj, key)) for key in ("h", "f"))
         return OddHyperellipticCurve(json_int(json_key(obj, "p"), "p"), h, f)
     raise ValueError(f"unknown curve model {model!r}")
 
@@ -138,7 +146,7 @@ def _pole_places(f: RationalMap) -> list[tuple[int, int]]:
     """(place degree, pole order) for every pole place of f, infinity
     included.  Raises NotReduced when any order is even."""
     places = []
-    for factor, mult in gfpoly.factor(f.den, f.p):
+    for factor, mult in gfpoly.factor(f.den, 2):
         places.append((gfpoly.degree(factor), mult))
     d_inf = gfpoly.degree(f.num) - gfpoly.degree(f.den)
     if d_inf > 0:
@@ -270,7 +278,7 @@ def dk_map(k: int) -> RationalMap:
 def _dk_rhs(j: int) -> RationalMap:
     """x^(2^j+1) + x^(-1) for any j >= 0 (j = 0 gives x^2 + x^(-1))."""
     e = (1 << j) + 2
-    return RationalMap(2, (1,) + (0,) * (e - 1) + (1,), (0, 1))
+    return RationalMap((1,) + (0,) * (e - 1) + (1,), (0, 1))
 
 
 def dk_curve(k: int) -> ArtinSchreierCurve:

@@ -176,30 +176,26 @@ def resolve_threads(threads: int | None) -> int:
 
 @dataclass(frozen=True)
 class RationalMap:
-    """A rational function num(x)/den(x) with coefficients in GF(p).
+    """A rational function num(x)/den(x) over GF(2), the field of every
+    Artin-Schreier right side.
 
-    Stored reduced: num and den share no factor over GF(p), and den is
-    monic.  Construct with ascending coefficient sequences.
+    Stored reduced: num and den share no factor over GF(2) (so den, like
+    every nonzero polynomial over GF(2), is monic).  Construct with
+    ascending coefficient sequences, read mod 2.
     """
 
-    p: int
     num: tuple[int, ...]
     den: tuple[int, ...]
 
-    def __init__(self, p: int, num, den=(1,)):
-        num_n = gfpoly.normalize(num, p)
-        den_n = gfpoly.normalize(den, p)
+    def __init__(self, num, den=(1,)):
+        num_n = gfpoly.normalize(num, 2)
+        den_n = gfpoly.normalize(den, 2)
         if not den_n:
             raise ZeroDivisionError("rational map with zero denominator")
-        g = gfpoly.gcd(num_n, den_n, p)
+        g = gfpoly.gcd(num_n, den_n, 2)
         if gfpoly.degree(g) > 0:
-            num_n = gfpoly.divmod_(num_n, g, p)[0]
-            den_n = gfpoly.divmod_(den_n, g, p)[0]
-        inv_lead = pow(den_n[-1], p - 2, p)
-        if inv_lead != 1:
-            num_n = gfpoly.normalize([c * inv_lead for c in num_n], p)
-            den_n = gfpoly.normalize([c * inv_lead for c in den_n], p)
-        object.__setattr__(self, "p", p)
+            num_n = gfpoly.divmod_(num_n, g, 2)[0]
+            den_n = gfpoly.divmod_(den_n, g, 2)[0]
         object.__setattr__(self, "num", num_n)
         object.__setattr__(self, "den", den_n)
 
@@ -571,7 +567,8 @@ def char_sum(
     threads: int | None = None,
     table_max_m: int = TABLE_MAX_M,
 ) -> int:
-    """Sum of (-1)^Tr(f(x)) over every x in the field where f is defined.
+    """Sum of (-1)^Tr(f(x)) over every x in GF(2^m) where the map f, over
+    GF(2), is defined; a field of odd characteristic raises ValueError.
 
     Exact, and independent of how the enumeration is chunked.  Every field
     is within the enumeration bound (the constructor refuses m above
@@ -581,8 +578,6 @@ def char_sum(
     threads = resolve_threads(threads)
     if field.p != 2:
         raise ValueError("character sums are implemented for p = 2 only")
-    if f.p != 2:
-        raise ValueError("rational map must be over GF(2)")
     exponents = f.laurent_exponents()
     if exponents is not None:
         n = field.order - 1
@@ -597,11 +592,10 @@ def char_sum(
 
 
 def _zero_point_term(field: FiniteField, f: RationalMap) -> int:
-    if f.den[0] % 2 == 0:
+    if not f.den[0]:
         return 0  # x = 0 is a pole
-    f0 = f.num[0] % 2 if f.num else 0
-    tr0 = (field.m & 1) if f0 else 0
-    return 1 - 2 * tr0
+    f0 = f.num[0] if f.num else 0
+    return -1 if f0 and field.m % 2 else 1  # Tr(f(0)) = f(0) * m mod 2
 
 
 def _xor_run(out: np.ndarray, window: np.ndarray, t0: int, e: int, n: int, a: int) -> None:

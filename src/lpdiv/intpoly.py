@@ -52,16 +52,12 @@ class IntPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
         return isinstance(other, IntPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly(
             (self.coeffs[i] if i < len(self.coeffs) else 0)
@@ -73,8 +69,6 @@ class IntPoly:
         return IntPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPoly([other])
         return self + (-other)
 
     def __mul__(self, other):

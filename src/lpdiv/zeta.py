@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_int, json_key
+from .curves import CurveModel, PointCountSeries, base_field_size, count_series, genus, json_array, json_int, json_key
 from .intpoly import (
     IntPoly,
     NotPowerSums,
@@ -58,9 +58,7 @@ class LPolynomial:
         def read(value, key):
             return int(value) if isinstance(value, str) else json_int(value, key)
 
-        coeffs = json_key(obj, "coeffs")
-        if not isinstance(coeffs, list):
-            raise ValueError(f"coeffs: expected an array, got {coeffs!r}")
+        coeffs = json_array(obj, "coeffs")
         return cls(
             q=read(json_key(obj, "q"), "q"),
             g=read(json_key(obj, "g"), "g"),

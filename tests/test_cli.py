@@ -19,6 +19,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def file_argv(command, path):
+    """A command that reads path first: as the curve of count or lpoly, or
+    as L_C of check-div against D_2."""
+    return {
+        "count": ("count", "--curve", str(path), "--m", "3"),
+        "lpoly": ("lpoly", "--curve", str(path)),
+        "check-div": ("check-div", "--lc", str(path), "--ld", str(SAMPLES / "d2.json"), "--k", "2"),
+    }[command]
+
+
 class TestCommands:
     def test_count(self, capsys):
         code, out, _ = run_cli(capsys, "count", "--curve", str(SAMPLES / "d1.json"), "--m", "3")
@@ -372,12 +382,7 @@ class TestErrors:
     def test_malformed_file_is_an_error_line(self, capsys, tmp_path, command, content):
         bad = tmp_path / "curve.json"
         bad.write_text(content)
-        argv = {
-            "count": ("count", "--curve", str(bad), "--m", "3"),
-            "lpoly": ("lpoly", "--curve", str(bad)),
-            "check-div": ("check-div", "--lc", str(bad), "--ld", str(SAMPLES / "d2.json"), "--k", "2"),
-        }[command]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *file_argv(command, bad))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -390,13 +395,25 @@ class TestErrors:
     def test_missing_key_names_the_key_and_the_file(self, capsys, tmp_path, command, content, key):
         bad = tmp_path / "input.json"
         bad.write_text(content)
-        argv = {
-            "count": ("count", "--curve", str(bad), "--m", "3"),
-            "lpoly": ("lpoly", "--curve", str(bad)),
-            "check-div": ("check-div", "--lc", str(bad), "--ld", str(SAMPLES / "d2.json"), "--k", "2"),
-        }[command]
-        code, out, err = run_cli(capsys, *argv)
+        code, out, err = run_cli(capsys, *file_argv(command, bad))
         assert (code, out, err) == (1, "", f"error: {bad}: missing key {key!r}\n")
+
+    @pytest.mark.parametrize("command", ["count", "lpoly", "check-div"])
+    @pytest.mark.parametrize("content,message", [
+        ('{"model": "as2", "f_num": 5, "f_den": [1]}', "f_num: expected an array, got 5"),
+        ('{"model": "as2", "f_num": "1001", "f_den": [1]}', "f_num: expected an array, got '1001'"),
+        ('{"model": "as2", "f_num": [0, 0, 0, 1], "f_den": {"0": 1}}', "f_den: expected an array, got {'0': 1}"),
+        ('{"model": "hyper_odd", "p": 3, "h": null, "f": [1, 2, 0, 1]}', "h: expected an array, got None"),
+        ('{"model": "hyper_odd", "p": 3, "h": [], "f": 7}', "f: expected an array, got 7"),
+        ('{"model": "hyper_odd", "p": 9, "h": [], "f": [1, 2, 0, 1]}', "9 is not prime"),
+    ], ids=["f_num-int", "f_num-string", "f_den-object", "h-null", "f-int", "hyper-p-9"])
+    def test_bad_value_names_the_file(self, capsys, tmp_path, command, content, message):
+        # a string is not read one character at a time, nor a number
+        # iterated into a bare TypeError
+        bad = tmp_path / "input.json"
+        bad.write_text(content)
+        code, out, err = run_cli(capsys, *file_argv(command, bad))
+        assert (code, out, err) == (1, "", f"error: {bad}: {message}\n")
 
     @pytest.mark.parametrize("lc,ld,failure", [
         ({"q": 2, "g": 0, "coeffs": ["1", "1"]}, {"q": 2, "g": 0, "coeffs": ["1"]}, "degree 1 != 2g = 0"),
@@ -591,6 +608,20 @@ class TestExitCodeTwo:
             "--k", "6",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_failed_counterexample_fact_maps_to_exit_two(self, capsys, monkeypatch, fmt):
+        # every published fact holds, so force one to fail: the report,
+        # overall FAIL, still goes to stdout
+        import lpdiv.cli as cli_mod
+        from dataclasses import replace
+        from lpdiv.decomp import counterexample_f3
+
+        report = replace(counterexample_f3(), not_divisible=False)
+        assert not report.ok
+        monkeypatch.setattr(cli_mod, "counterexample_f3", lambda: report)
+        code, out, err = run_cli(capsys, "counterexample", "--format", fmt)
+        assert (code, out, err) == (2, emit_report(report, fmt), "")
 
 
 class TestThreadResolution:

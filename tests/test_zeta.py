@@ -207,6 +207,12 @@ class TestRoundtripProperty:
         with pytest.raises(ValueError):
             LPolynomial.from_json_dict(obj)
 
+    @pytest.mark.parametrize("coeffs,shown", [("112", "'112'"), (None, "None"), (5, "5")])
+    def test_json_coeffs_must_be_an_array(self, coeffs, shown):
+        # a string is not read one digit at a time
+        with pytest.raises(ValueError, match=rf"^coeffs: expected an array, got {shown}$"):
+            LPolynomial.from_json_dict({"q": 2, "g": 1, "coeffs": coeffs})
+
     def test_json_roundtrip(self):
         assert LPolynomial.from_json_dict(L_D1.to_json_dict()) == L_D1
         assert L_D1.to_json_dict() == {"q": 2, "g": 2, "coeffs": ["1", "1", "0", "2", "4"]}
