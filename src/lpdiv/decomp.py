@@ -62,6 +62,7 @@ from .zeta import (
 
 SCHEMA_VERSION = 1
 CRITERION_REACH_MAX = 1 << 12  # power sums and implied counts per criterion check
+CRITERION_BITS_MAX = 1 << 14  # reach * ceil(log2 q): the bits of q^reach, about those of the largest count
 
 
 def json_report(type_: str, **values) -> dict:
@@ -124,13 +125,15 @@ class DivisibilityReport:
 def check_criterion_inputs(
     q_c: int, q_d: int, deg_c: int, deg_d: int, k: int, horizon: int
 ) -> None:
-    """Raise ValueError unless k >= 2, the base fields agree, horizon >= 1
-    and the reach max(horizon, k (deg L_C + deg L_D)) is at most
-    ``CRITERION_REACH_MAX``: the refusals of ``check_main_theorem``, which
-    a caller can run before it counts any curve.  The reach bounds every
-    power sum the criterion takes (deg L_C * k for the extension, and
+    """Raise ValueError unless k >= 2, the base fields agree, horizon >= 1,
+    the reach max(horizon, k (deg L_C + deg L_D)) is at most
+    ``CRITERION_REACH_MAX`` and reach * ceil(log2 q) at most
+    ``CRITERION_BITS_MAX``: the refusals of ``check_main_theorem``, which
+    a caller can run before it counts any curve.  The reach bounds how many
+    power sums the criterion takes (deg L_C * k for the extension, and
     counts up to the horizon, or below k (deg L_C + deg L_D) when hypothesis
-    1 is decided for every m)."""
+    1 is decided for every m), and reach * log2 q their size: the m-th
+    power sum and count have about m * log2 q bits."""
     if k < 2:
         raise ValueError("the divisibility criterion needs k >= 2")
     if q_c != q_d:
@@ -142,6 +145,12 @@ def check_criterion_inputs(
         raise ValueError(
             f"max(horizon, k * (deg L_C + deg L_D)) = {reach} exceeds the "
             f"bound {CRITERION_REACH_MAX} of the divisibility criterion"
+        )
+    bits = (q_c - 1).bit_length()
+    if reach * bits > CRITERION_BITS_MAX:
+        raise ValueError(
+            f"max(horizon, k * (deg L_C + deg L_D)) * ceil(log2 q) = {reach} * {bits} = "
+            f"{reach * bits} exceeds the bound {CRITERION_BITS_MAX} of the divisibility criterion"
         )
 
 

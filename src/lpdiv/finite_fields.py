@@ -38,32 +38,51 @@ realizations:
   which is symmetric: Tr(c*y) = parity(c & M(y)) too).  Indices are cut
   into blocks of L = 2^ceil(m/2), within [64, 4096] (``_block_length``),
   so small fields do not pay for long tables.  In block t each exponent
-  contributes g^(e*i) = c_t * T_e[j] with T_e[j] = g^(e*j), j < L, fixed.
-  Bit k of M(T_e[j]), over j, Tr(t^k*T_e[j]) = parity(T_e[j] & M(t^k)),
-  is a row of L bits packed 64 to a uint64 word (``_trace_rows``), and
-  Four-Russians tables (``_xor_tables``, one build for every exponent)
-  hold the XOR of every subset of 8 consecutive rows, so the L trace bits
-  of a block are one gather per byte of c_t and exponent, and the block
-  adds L - 2*popcount.  The blocks are cut into chunks of ``_STARTS``, the
-  unit of work, of at most L blocks for every m <= 34: block s of a chunk
-  starts at the chunk's first start times the step G_e^s, G_e = g^(e*L).
-  So one ``geometric_block`` of the bases g^e and the G_e gives every T_e
-  and step (``_block_powers``), one gather per doubling for all of them.
-  The other constants are ``pow_el``: the bases, the G_e and the leaps
-  G_e^_STARTS from a chunk's starts to the next (powers of two, squarings
-  only), and each worker's first start g^(e*i), i its first index.  A
-  count builds two tables whatever L (the doubling constants and the bit
-  rows), one more of the leaps when it has more than one chunk, and a
-  worker one to multiply the steps by its first start when that is not 1.
-  A negative exponent e raises g^-1 to -e.  Up to ``threads`` threads of
-  this process, no more than the CPUs it may run on or the chunks (one
-  chunk and no thread up to 2^24 elements), share the chunks, the field
-  and the tables; numpy's gathers, XORs and popcounts run without the
-  GIL.  Each takes a contiguous run of chunks, gathers ``_BATCH`` blocks
-  at a time into two buffers of its own, and masks the bits of the last
-  block past the range end, so any index range [lo, hi) can be summed.
-  Memory is bounded by these chunk sizes, not by the field.  Partial
-  sums are exact ints, so the result does not depend on the partitioning;
+  contributes g^(e*i) = c_t * T_e[j] with T_e[j] = g^(e*(lo + j)), j < L,
+  fixed, lo the first index.  Bit k of M(T_e[j]), over j, Tr(t^k*T_e[j])
+  = parity(T_e[j] & M(t^k)), is a row of L bits packed 64 to a uint64
+  word (``_trace_rows``), and Four-Russians tables (``_xor_tables``, one
+  build for every exponent) hold the XOR of every subset of 8 consecutive
+  rows, so the L trace bits of a block are one gather per byte of c_t and
+  exponent, and the block adds L - 2*popcount.  The blocks are cut into
+  chunks of ``_STARTS``, the unit of work, of at most L blocks for every m
+  <= 34: block s of a chunk starts at the chunk's first start times the
+  step G_e^s, G_e = g^(e*L).  So one ``geometric_block`` of the bases g^e,
+  from g^(e*lo), and the G_e, from 1, gives every T_e and step
+  (``_block_powers``), one gather per doubling for all of them.  Their
+  constants come from one squaring chain per g^e, which also gives G_e
+  and g^(e*lo), and one per G_e, which also gives the leap G_e^_STARTS
+  from a chunk's starts to the next (``_chain_power``).  A count builds
+  two tables whatever L (the doubling constants and the bit rows), one
+  more of the leaps when it has more than one chunk, and a worker past
+  the first one to multiply the steps by its first start, g^(e*i), i its
+  first index past lo (``pow_el``).  A negative exponent e raises g^-1 to
+  -e.  Up to ``threads`` threads of this process, no more than the CPUs it
+  may run on or the chunks (one chunk and no thread up to 2^24 elements),
+  share the chunks, the field and the tables; numpy's gathers, XORs and
+  popcounts run without the GIL.  Each takes a contiguous run of chunks,
+  gathers ``_BATCH`` blocks at a time into two buffers of its own, and
+  sums the popcounts per word into an accumulator of its own
+  (``_packed_ones``, the one gather loop).  Memory is bounded by these
+  chunk sizes, not by the field.  Partial sums are exact ints, so the
+  result does not depend on the partitioning.  The kernel has two walks,
+  routed by m alone:
+
+  - below m = ``_QUARTER_MIN_M`` = 21, the full walk (``_stream_range``)
+    sums every index.  It masks the bits of the last block past the range
+    end, so any index range [lo, hi) can be summed;
+  - from m = 21, the quarter walk (``_quarter_walk``) sums each Frobenius
+    orbit (see the table kernel below) once: x = 1 on its own, and R2,
+    the 2^(m-2) indices with top bits 10, each of weight m/c2(i), as
+    whole blocks of L = 2^a = ``_block_length(m - 2)``.  With i = b*L + j,
+    c2(i) = c2_h(b) + c2_l(j) + b_0 (1 - j_(a-1)), so a block's columns
+    are packed by class (c2_l(j), j_(a-1)), each class padded to whole
+    words (40 words at L = 2048 and 73 at 4096, against 32 and 64;
+    ``_pair_classes``, built at first use), and the blocks of a chunk are
+    sorted by group (c2_h(b), b_0).  Popcounts are summed per group and
+    word, in integers, and reduced to classes and weighted once per count
+    (``_orbit_total``).  Below m = 21 its longer rows and sorting cost
+    more than its quarter of the gathers saves;
 * a table kernel, for denominators that are not monomials, at
   m <= ``TABLE_MAX_M``.  The map has coefficients in GF(2), so f(x^2) =
   f(x)^2 and Tr(y^2) = Tr(y): the sign at x = g^i is constant on each
@@ -96,7 +115,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -105,6 +124,7 @@ from .gfpoly import factor_int
 
 DEFAULT_MAX_M = 34
 TABLE_MAX_M = 22
+_QUARTER_MIN_M = 21  # Laurent-map counts walk a quarter of the group from here
 _TABLE_CHUNK = 1 << 15  # indices per step of the table kernel and its table walk
 _STARTS = 1 << 12  # block starts of the packed kernel computed at once
 _BATCH = 1 << 10  # blocks of the packed kernel gathered at once
@@ -487,27 +507,33 @@ class FiniteField:
             step_matrix = step_matrix @ step_matrix % self.p
         return out
 
-    def geometric_block(self, ratio, length: int) -> np.ndarray:
-        """[ratio^0, ratio^1, ..., ratio^(length-1)] as uint64 codes, or for
-        a sequence of ratios one such row for each, shape (ratios, length);
-        p = 2 only (``geometric_rows`` is the odd-p counterpart).  By
-        doubling: step s multiplies the first 2^s powers of every ratio by
-        its ratio^(2^s), all these constants coming from squaring chains
-        (``_square``) and multiplied through one table build
+    def _squares(self, a: int, count: int) -> list[int]:
+        """The squaring chain [a^(2^s) for s < count], p = 2."""
+        chain = [a]
+        for _ in range(count - 1):
+            chain.append(self._square(chain[-1]))
+        return chain
+
+    def geometric_block(self, ratio, length: int, chains=None, start=1) -> np.ndarray:
+        """[start, start*ratio, ..., start*ratio^(length-1)] as uint64 codes,
+        or for a sequence of ratios (and of starts, or one start for all)
+        one such row for each, shape (ratios, length); p = 2 only
+        (``geometric_rows`` is the odd-p counterpart).  By doubling: step s
+        multiplies the first 2^s powers of every ratio by its ratio^(2^s),
+        all these constants coming from squaring chains (``_squares``;
+        ``chains`` gives them when the caller has them, at least one term
+        per doubling) and multiplied through one table build
         (``_mul_tables``), so a step is one gather for every ratio."""
         if self.p != 2:
             raise ValueError("geometric blocks of codes are implemented for p = 2 only")
         ratios = [int(r) for r in np.atleast_1d(ratio)]
         steps = max(length - 1, 0).bit_length()  # doublings up to length
         out = np.zeros((length, len(ratios)), dtype=np.uint64)  # [k, ratio], so a prefix is contiguous
-        out[:1] = 1
+        out[:1] = start
         if steps:
-            consts = []
-            for r in ratios:  # r^(2^s) for s < steps
-                consts.append(r)
-                for _ in range(steps - 1):
-                    consts.append(self._square(consts[-1]))
-            tables = self._mul_tables(consts)
+            if chains is None:
+                chains = [self._squares(r, steps) for r in ratios]
+            tables = self._mul_tables([c for chain in chains for c in chain[:steps]])
             flat, nbytes = tables.reshape(-1), tables.shape[1]
             # per byte b, where the table of each ratio's r^(2^s), s = 0, starts
             offsets = (np.arange(nbytes)[:, None] + np.arange(len(ratios)) * steps * nbytes) * 256
@@ -580,8 +606,9 @@ def char_sum(
         raise ValueError("character sums are implemented for p = 2 only")
     exponents = f.laurent_exponents()
     if exponents is not None:
-        n = field.order - 1
-        return _zero_point_term(field, f) + _stream_range(field, exponents, 0, n, threads)
+        if field.m >= _QUARTER_MIN_M:
+            return _zero_point_term(field, f) + _quarter_walk(field, exponents, threads)
+        return _zero_point_term(field, f) + _stream_range(field, exponents, 0, field.order - 1, threads)
     if field.m > table_max_m:
         raise TooLarge(
             f"m = {field.m} exceeds the bound m <= {table_max_m} for maps whose "
@@ -648,7 +675,8 @@ def _cyclic_triples(i: np.ndarray, m: int) -> np.ndarray:
 def _cyclic_pairs(i: np.ndarray, m: int) -> np.ndarray:
     """c2(i), the cyclic 10 pairs (bit j set, bit j-1 clear) of each m-bit
     index i whose top bits are 10.  Bit m-1 is set there, so the wrapped
-    pair (bit 0 set, bit m-1 clear) never occurs, and bit 0 is masked out."""
+    pair (bit 0 set, bit m-1 clear) never occurs, and bit 0 is masked out.
+    For any other i it counts the pairs within its m bits (``_pair_classes``)."""
     return np.bitwise_count(i & ~(i << 1) & ((1 << m) - 2))
 
 
@@ -710,26 +738,46 @@ def _char_sum_table(field: FiniteField, f: RationalMap) -> int:
 
 
 def _block_length(m: int) -> int:
-    """Indices per block of the packed kernel: 2^ceil(m/2), within
-    [64, 4096], so small fields do not pay for long tables."""
+    """Indices per block of the packed kernel for a walk of 2^m indices:
+    2^ceil(m/2), within [64, 4096], so small fields do not pay for long
+    tables.  The full walk takes _block_length(m), the quarter walk, of
+    2^(m-2) indices, _block_length(m - 2)."""
     return 1 << min(12, max(6, (m + 1) // 2))
 
 
-def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, blocks: int):
+def _chain_power(field: FiniteField, chain: list[int], e: int) -> int:
+    """a^e from a's squaring chain [a, a^2, a^4, ...] (``FiniteField._squares``),
+    which is extended in place as far as e needs: the product of its terms
+    at the set bits of e, so a power of two is one term."""
+    while len(chain) < e.bit_length():
+        chain.append(field._square(chain[-1]))
+    return reduce(field.mul, [c for s, c in enumerate(chain) if e >> s & 1] or [1])
+
+
+def _block_powers(field: FiniteField, exponents: tuple[int, ...], length: int, blocks: int, lo: int):
     """The constants of the packed kernel for ``blocks`` blocks of
-    ``length`` indices in chunks of ``_STARTS`` blocks, per exponent e:
-    (bases, powers, steps, leaps), bases[e] = g^e, powers[e][j] =
-    g^(e*j), j < length, steps[e][s] = G_e^s, s < the blocks of a chunk,
-    G_e = g^(e*length), and leaps[e] = G_e^_STARTS (none for one chunk);
-    the powers and steps are one geometric block of the g^e and G_e."""
+    ``length`` = 2^a indices from lo in chunks of ``_STARTS`` blocks, per
+    exponent e: (bases, powers, steps, leaps), bases[e] = g^e, powers[e][j]
+    = g^(e*(lo + j)), j < length, steps[e][s] = G_e^s, s < the blocks of a
+    chunk, G_e = g^(e*length), and leaps[e] = G_e^_STARTS (none for one
+    chunk); the powers and steps are one geometric block of the g^e, from
+    g^(e*lo), and the G_e, from 1, so the blocks of the first chunk start
+    at the steps.  Each g^e has one squaring chain, which gives its
+    doubling constants, G_e and g^(e*lo); each G_e has one, which gives
+    its doubling constants and its leap."""
     n = field.order - 1
     per_chunk = min(_STARTS, blocks)
+    doublings = (length - 1).bit_length()
     bases = [field.pow_el(field.generator if e >= 0 else field._generator_inv, abs(e) % n) for e in exponents]
-    giants = [field.pow_el(base, length) for base in bases] if blocks > 1 else []
-    leaps = [field.pow_el(giant, per_chunk) for giant in giants] if blocks > per_chunk else []
-    rows = field.geometric_block(bases + giants, length)
+    chains = [field._squares(base, doublings) for base in bases]
+    firsts = [_chain_power(field, chain, lo) for chain in chains]
+    giants = [field._squares(_chain_power(field, chain, length), doublings) for chain in chains] if blocks > 1 else []
+    leaps = [_chain_power(field, chain, per_chunk) for chain in giants] if blocks > per_chunk else []
+    rows = field.geometric_block(
+        [chain[0] for chain in chains + giants], length, chains=chains + giants, start=firsts + [1] * len(giants)
+    )
     k = len(bases)
-    steps = rows[k:, :per_chunk] if giants else rows[:, :1]
+    steps = rows[k:, :per_chunk] if giants else np.ones((k, 1), dtype=np.uint64)
     return bases, rows[:k], steps, leaps
 
 
@@ -739,51 +787,100 @@ def _mul_rows(tables: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.array([_xor_gather(t, row) for t, row in zip(tables, rows)])
 
 
-def _trace_rows(field: FiniteField, codes: np.ndarray) -> np.ndarray:
+def _trace_rows(field: FiniteField, codes: np.ndarray, columns: np.ndarray | None = None) -> np.ndarray:
     """Bit k of M(y) = Tr(t^k * y) = parity(y & M(t^k)) for each code y of
     each row of ``codes``, over the row, packed 8 to a byte little-endian:
-    shape (rows, m, ceil(len / 8)), uint8."""
+    shape (rows, m, ceil(len / 8)), uint8.  With ``columns`` each row is
+    first read in that order, a column -1 as a padding code 0, whose bits
+    are 0."""
+    if columns is not None:
+        codes = np.pad(codes, ((0, 0), (0, 1))).take(columns, axis=1)
     masks = np.array(field._dual_masks, dtype=np.uint64)[:, None]
     odd = np.bitwise_count(codes[:, None, :] & masks) & np.uint8(1)
     return np.packbits(odd, axis=-1, bitorder="little")
 
 
-def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int, threads: int = 1) -> int:
-    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi, in up to
-    ``threads`` threads, no more than the CPUs this process may run on."""
-    if not exponents or hi == lo:
-        return hi - lo  # f = 0, or nothing to sum
-    length = _block_length(field.m)
-    blocks = -(-(hi - lo) // length)
-    # x = g^(lo + t*length + j) gives x^e = c_t * T_e[j], T_e[j] = g^(e*j)
-    bases, powers, steps, leaps = _block_powers(field, exponents, length, blocks)
+@lru_cache(maxsize=None)
+def _pair_classes(a: int):
+    """The column layout of a block of the quarter walk, L = 2^a indices j:
+    the j sorted by class (c2_l(j), j_(a-1)), c2_l(j) the 10 pairs within
+    the a bits of j (``_cyclic_pairs``), each class padded with -1 to whole
+    64-bit words (40 words at L = 2048, 73 at 4096).  Returns (columns,
+    heads, sizes, pairs, top): the column order, and per class its first
+    word, its number of indices, c2_l and j_(a-1).  Built at first use,
+    cached per a and read-only."""
+    j = np.arange(1 << a)
+    keys = 2 * _cyclic_pairs(j, a) + (j >> (a - 1))
+    classes, sizes = np.unique(keys, return_counts=True)
+    words = -(-sizes // 64)
+    heads = np.cumsum(words) - words
+    columns = np.full(64 * int(words.sum()), -1)
+    for key, head, size in zip(classes, heads, sizes):
+        columns[64 * head : 64 * head + size] = j[keys == key]
+    layout = (columns, heads, sizes, classes >> 1, classes & 1)
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _packed_ones(
+    field: FiniteField,
+    exponents: tuple[int, ...],
+    lo: int,
+    length: int,
+    blocks: int,
+    threads: int,
+    columns: np.ndarray | None = None,
+    tail: np.ndarray | None = None,
+    group_of=None,
+    groups: int = 1,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gather loop of the packed kernel over ``blocks`` blocks of
+    ``length`` indices from lo: the popcounts of the blocks' trace bits
+    summed per group of blocks and per uint64 word, shape (groups, words),
+    and the number of blocks in each group.  ``columns`` orders and pads a
+    block's indices (``_trace_rows``), ``tail`` masks the words of the last
+    block, and ``group_of`` maps block numbers, 0 at lo, to their groups;
+    without it every block is in group 0.  Up to ``threads`` threads, no
+    more than the CPUs this process may run on or the chunks, each take a
+    contiguous run of chunks with accumulators of their own."""
+    bases, powers, steps, leaps = _block_powers(field, exponents, length, blocks, lo)
     # Tr(c_t * T_e[j]) = parity(c_t & M(T_e[j])): bit k of M(T_e[j]), over
     # j, packed 64 to a word, is row k of exponent e's tables
-    tables = _xor_tables(_trace_rows(field, powers).view(np.uint64), axis=1)
+    tables = _xor_tables(_trace_rows(field, powers, columns).view(np.uint64), axis=1)
     leap_tables = field._mul_tables(leaps) if leaps else None
-    per_chunk, nbytes = steps.shape[1], tables.shape[1]
+    per_chunk, nbytes, words = steps.shape[1], tables.shape[1], tables.shape[-1]
     chunks = -(-blocks // per_chunk)
-    tail = np.packbits(np.arange(length) < hi - lo - (blocks - 1) * length, bitorder="little").view(np.uint64)
     workers = min(threads, resolve_threads(None), chunks)
 
-    def count(worker: int) -> int:
+    def count(worker: int) -> tuple[np.ndarray, np.ndarray]:
         # The first chunk's starts are the steps times g^(e*i), i its first
-        # index, later ones the ones before times the leaps.  A block's
+        # index past lo, later ones the ones before times the leaps.  A block's
         # trace bits, the XOR over e and b of tables[e][b][byte b of c_t],
         # are gathered into the worker's two buffers (mode="clip" lets take
         # write out= unbuffered).  Threads wait for the GIL after each numpy
         # call, so a chunk's start bytes become intp rows once, and the
         # gathers call ndarray.take, not the np.take wrapper.
         run = range(chunks * worker // workers, chunks * (worker + 1) // workers)
-        first = [field.pow_el(base, lo + run.start * per_chunk * length) for base in bases]
+        first = [field.pow_el(base, run.start * per_chunk * length) for base in bases]
         starts = _mul_rows(field._mul_tables(first), steps) if any(c != 1 for c in first) else steps
-        acc_buffer, part_buffer = np.empty((2, min(_BATCH, per_chunk), tables.shape[-1]), dtype=np.uint64)
-        ones = 0
+        acc_buffer, part_buffer = np.empty((2, min(_BATCH, per_chunk), words), dtype=np.uint64)
+        ones = np.zeros((groups, words), dtype=np.int64)
+        sizes = np.zeros(groups, dtype=np.int64)
         for c in run:
             if c > run.start:
                 starts = _mul_rows(leap_tables, starts)
             cnt = min(per_chunk, blocks - c * per_chunk)
             indices = _code_bytes(starts[:, :cnt])[..., :nbytes].transpose(0, 2, 1).astype(np.intp, order="C")
+            runs = [(0, cnt, 0)]  # (first, stop, group): the chunk's blocks, in group order, by group
+            if group_of is not None:
+                labels = group_of(np.arange(c * per_chunk, c * per_chunk + cnt)).astype(np.uint8)
+                order = np.argsort(labels, kind="stable")
+                indices, labels = indices[..., order], labels[order]
+                cuts = (np.flatnonzero(np.diff(labels)) + 1).tolist()
+                runs = [(first, stop, int(labels[first])) for first, stop in zip([0, *cuts], [*cuts, cnt])]
+            for first, stop, group in runs:
+                sizes[group] += stop - first
             for s in range(0, cnt, _BATCH):
                 acc, part = acc_buffer[: cnt - s], part_buffer[: cnt - s]
                 for e, (table, rows) in enumerate(zip(tables, indices[..., s : s + _BATCH])):
@@ -791,14 +888,68 @@ def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: i
                         table_b.take(row, axis=0, out=part if e or b else acc, mode="clip")
                         if e or b:
                             acc ^= part
-                if c * per_chunk + s + len(acc) == blocks:  # the last block stops at hi
+                if tail is not None and c * per_chunk + s + len(acc) == blocks:  # the last block stops at hi
                     acc[-1] &= tail
-                ones += int(np.bitwise_count(acc).sum())
-        return ones
+                bits = np.bitwise_count(acc)
+                for first, stop, group in runs:  # at most 64 * _BATCH ones per word: uint32 sums
+                    if first < s + len(acc) and stop > s:
+                        ones[group] += np.add.reduce(bits[max(first - s, 0) : stop - s], axis=0, dtype=np.uint32)
+        return ones, sizes
 
     if workers == 1:
-        return hi - lo - 2 * count(0)
+        return count(0)
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        return hi - lo - 2 * sum(pool.map(count, range(workers)))
+        parts = list(pool.map(count, range(workers)))
+    return sum(ones for ones, _ in parts), sum(sizes for _, sizes in parts)
+
+
+def _stream_range(field: FiniteField, exponents: tuple[int, ...], lo: int, hi: int, threads: int = 1) -> int:
+    """Sum of (-1)^Tr(sum of x^e) over x = g^i for lo <= i < hi (the full
+    walk), in up to ``threads`` threads, no more than the CPUs this process
+    may run on."""
+    if not exponents or hi == lo:
+        return hi - lo  # f = 0, or nothing to sum
+    length = _block_length(field.m)
+    blocks = -(-(hi - lo) // length)
+    tail = np.packbits(np.arange(length) < hi - lo - (blocks - 1) * length, bitorder="little").view(np.uint64)
+    ones, _ = _packed_ones(field, exponents, lo, length, blocks, threads, tail=tail)
+    return hi - lo - 2 * int(ones.sum())
+
+
+def _quarter_walk(field: FiniteField, exponents: tuple[int, ...], threads: int = 1) -> int:
+    """The sum of ``_stream_range`` over 0 <= i < n = 2^m - 1, m >= 8, from
+    a quarter of the indices: the sign is constant on each orbit i -> 2i
+    mod n, so x = 1 (i = 0) is summed on its own and every other orbit
+    from R2, the 2^(m-2) indices with top bits 10, each of weight m/c2(i)
+    (``_cyclic_pairs``).  R2 is a run of whole blocks of L = 2^a =
+    _block_length(m - 2) indices; with i = b*L + j, c2(i) = c2_h(b) +
+    c2_l(j) + b_0 (1 - j_(a-1)), the last term the pair across the
+    junction.  So a block's trace bits are packed in class order
+    (``_pair_classes``), their popcounts summed per group (c2_h(b), b_0)
+    of blocks and per word, and reduced to classes and weighted once per
+    count (``_orbit_total``)."""
+    m = field.m
+    if not exponents:
+        return field.order - 1
+    length = _block_length(m - 2)
+    a = length.bit_length() - 1
+    h = m - a  # the bits of b = i >> a, whose top bits are 10
+    columns, heads, sizes, pairs, top = _pair_classes(a)
+
+    def group_of(t: np.ndarray) -> np.ndarray:
+        b = (1 << (h - 1)) + t
+        return 2 * _cyclic_pairs(b, h) + (b & 1)
+
+    ones, blocks_of = _packed_ones(
+        field, exponents, 1 << (m - 1), length, 1 << (m - 2 - a), threads, columns,
+        group_of=group_of, groups=2 * (h // 2 + 1),
+    )
+    group = np.arange(len(blocks_of))[:, None]
+    classes = (group >> 1) + pairs + (group & 1) * (1 - top)  # c2 of each group and class
+    signs = blocks_of[:, None] * sizes - 2 * np.add.reduceat(ones, heads, axis=1)
+    by_class = np.zeros(m + 1, dtype=np.int64)
+    np.add.at(by_class, classes, signs)
+    at_one = -1 if len(exponents) & m & 1 else 1  # every x^e is 1, and Tr(1) = m mod 2
+    return at_one + _orbit_total(m, by_class.tolist())

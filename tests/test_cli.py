@@ -539,6 +539,21 @@ class TestErrors:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_check_div_refuses_power_sums_too_large(self, capsys, tmp_path):
+        # a genus-1 pair over q = 2^31 - 1 within the reach bound: its power
+        # sums and counts grow with log q, so reach * ceil(log2 q) is bounded
+        q = 2**31 - 1
+        path = tmp_path / "big_q.json"
+        path.write_text(json.dumps({"q": q, "g": 1, "coeffs": [1, 0, q]}))
+        code, out, err = run_cli(
+            capsys, "check-div", "--lc", str(path), "--ld", str(path), "--k", "1024", "--horizon", "4096"
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: max(horizon, k * (deg L_C + deg L_D)) * ceil(log2 q) = 4096 * 31 = 126976 "
+            "exceeds the bound 16384 of the divisibility criterion\n"
+        )
+
     def test_parser_is_built_once(self, capsys):
         from lpdiv import cli
 

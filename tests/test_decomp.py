@@ -8,11 +8,13 @@ import pytest
 from lpdiv.cli import emit_report
 from lpdiv.curves import curve_from_json_dict, dk_curve, gsum
 from lpdiv.decomp import (
+    CRITERION_BITS_MAX,
     CRITERION_REACH_MAX,
     F3_LC,
     F3_LD,
     SplitResult,
     Verdict,
+    check_criterion_inputs,
     check_main_theorem,
     counterexample_f3,
     dk_report_from_counts,
@@ -138,6 +140,19 @@ class TestCheckMainTheorem:
                                   (k_max + 1, 1, 8 * k_max + 8)]:
             with pytest.raises(ValueError, match=rf"^max\(horizon, k \* \(deg L_C \+ deg L_D\)\) = {reach} exceeds"):
                 check_main_theorem(L_D1, L_D1, k, horizon)
+
+    def test_power_sum_size_beyond_the_bound_refused(self):
+        # reach * ceil(log2 q) <= 2^14: q = 2^31 - 1 takes 31 bits, so a
+        # reach of 528 is allowed and 529 is not; q <= 5 takes at most 3
+        # bits, so the reach bound comes first there
+        q = 2**31 - 1
+        reach_max = CRITERION_BITS_MAX // 31
+        assert reach_max == 528
+        check_criterion_inputs(q, q, 2, 2, 2, reach_max)
+        with pytest.raises(ValueError, match=r"\* ceil\(log2 q\) = 529 \* 31 = 16399 exceeds the bound 16384"):
+            check_criterion_inputs(q, q, 2, 2, 2, reach_max + 1)
+        for small_q in (2, 3, 4, 5):
+            check_criterion_inputs(small_q, small_q, 2, 2, 2, CRITERION_REACH_MAX)
 
     def test_report_json_shape(self):
         rep = check_curves(dk_curve(1), dk_curve(2), 2, 6)

@@ -29,6 +29,7 @@ def trace(field, y: int) -> int:
 X3_PLUS_INV = RationalMap((1, 0, 0, 0, 1), (0, 1))  # x^3 + 1/x
 X5_PLUS_INV = RationalMap((1, 0, 0, 0, 0, 0, 1), (0, 1))  # x^5 + 1/x
 D6_MAP = dk_map(6)  # x^65 + 1/x: exponent 65 >= 2^m - 1 for m <= 6
+QUARTER_MAPS = ((65, -1), (7, -3), (1, -9))  # D_6, x^7 + x^-3 and x + x^-9, as exponents
 
 
 def _mul_power(field, a: int, e: int) -> int:
@@ -293,6 +294,13 @@ class TestFieldArithmetic:
         for r, row in zip(ratios, rows):
             assert row.tolist() == _running_products(field, r, length)
             assert field.geometric_block(r, length).tolist() == row.tolist()
+        # from a start of each row, with squaring chains one term longer
+        # than the doublings, as the packed kernel passes them
+        starts = [rng.randrange(field.order) for _ in ratios]
+        chains = [field._squares(r, max(length - 1, 0).bit_length() + 1) for r in ratios]
+        rows = field.geometric_block(ratios, length, chains=chains, start=starts)
+        for r, start, row in zip(ratios, starts, rows):
+            assert row.tolist() == _running_products(field, r, length, start)
 
     def test_odd_count_builds_one_tensor(self, monkeypatch):
         # the digit tensor of y -> c*y is built once per count and shared by
@@ -483,10 +491,16 @@ class TestCharSum:
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_block_starts_fit_one_block(self, m):
         # the starts of a chunk's blocks come from the geometric block of a
-        # block's powers, so a chunk has at most one block's length of blocks
+        # block's powers, so a chunk has at most one block's length of
+        # blocks; the quarter walk's 2^(m-2) indices, m >= 8, are whole
+        # blocks of its length
         length = finite_fields._block_length(m)
         blocks = -(-(2**m - 1) // length)
         assert min(finite_fields._STARTS, blocks) <= length
+        if m >= 8:
+            length = finite_fields._block_length(m - 2)
+            assert 2 ** (m - 2) % length == 0
+            assert min(finite_fields._STARTS, 2 ** (m - 2) // length) <= length
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_pow_el_of_a_power_of_two_squares_only(self, monkeypatch, m):
@@ -517,25 +531,27 @@ class TestCharSum:
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
     def test_block_powers_equal_running_products(self, monkeypatch, m):
-        # the bases g^e, the powers g^(e*j), j < L, the steps G_e^s, s < 3,
-        # G_e = g^(e*L), and the leap G_e^3 of the packed kernel against
-        # running products through ``mul``, over 7 blocks in chunks of 3
+        # the bases g^e, the powers g^(e*(lo + j)), j < L, the steps G_e^s,
+        # s < 3, G_e = g^(e*L), and the leap G_e^3 of the packed kernel
+        # against running products through ``mul``, over 7 blocks in chunks
+        # of 3, from lo = 0, a random lo and the quarter walk's 2^(m-1)
         monkeypatch.setattr(finite_fields, "_STARTS", 3)
         field = make_field(2, m)
         n, length = field.order - 1, finite_fields._block_length(m)
-        for exponents in self._exponent_sets(n):
-            bases, powers, steps, leaps = finite_fields._block_powers(field, exponents, length, 7)
+        rng = random.Random(m)
+        for exponents, lo in zip(self._exponent_sets(n), (0, rng.randrange(n), 2 ** (m - 1), 0)):
+            bases, powers, steps, leaps = finite_fields._block_powers(field, exponents, length, 7, lo)
             k = len(exponents)
             assert powers.shape == (k, length) and steps.shape == (k, 3)
             assert len(bases) == len(leaps) == k
             for e, b, row, row_steps, leap in zip(exponents, bases, powers, steps, leaps):
                 base = _mul_power(field, field.generator, e % n)  # g^-k = g^(n - k)
-                want = _running_products(field, base, length + 1)
-                assert b == base and row.tolist() == want[:length], (m, e)
-                giant_powers = _running_products(field, want[length], 4)
+                first = _mul_power(field, base, lo)
+                assert b == base and row.tolist() == _running_products(field, base, length, first), (m, e, lo)
+                giant_powers = _running_products(field, _mul_power(field, base, length), 4)
                 assert row_steps.tolist() == giant_powers[:3] and leap == giant_powers[3], (m, e)
             # one block: no step but the first, no leap
-            _, _, steps, leaps = finite_fields._block_powers(field, exponents, length, 1)
+            _, _, steps, leaps = finite_fields._block_powers(field, exponents, length, 1, lo)
             assert steps.tolist() == [[1]] * k and leaps == []
 
     @pytest.mark.parametrize("m", range(1, finite_fields.DEFAULT_MAX_M + 1))
@@ -560,6 +576,14 @@ class TestCharSum:
             want = sum(1 - 2 * trace(field, y) for y in values)
             assert finite_fields._stream_range(field, exponents, lo, hi) == want, (m, exponents)
 
+    @staticmethod
+    def _walk(walk: str, field, exponents, threads: int = 1) -> int:
+        # the full walk over every index, or the quarter walk, called
+        # directly rather than through the route of char_sum
+        if walk == "full":
+            return finite_fields._stream_range(field, exponents, 0, field.order - 1, threads)
+        return finite_fields._quarter_walk(field, exponents, threads)
+
     @pytest.mark.parametrize("m", [6, 16, 24])
     def test_packed_count_set_up_budget(self, monkeypatch, m):
         # A count of D_6 (two exponents) builds two tables whatever the
@@ -567,8 +591,19 @@ class TestCharSum:
         # constant, one of the bit rows (a parity per code and mask).  Its
         # scalar products raise the bases to their exponents; squarings do
         # not go through ``mul``, and no doubling step builds a table.
+        self._assert_set_up_budget(monkeypatch, "full", m)
+
+    @pytest.mark.parametrize("m", [8, 16, 24])
+    def test_quarter_walk_set_up_budget(self, monkeypatch, m):
+        # The same budget with L = 64, 64 and 2048: the quarter walk's first
+        # start g^(e*2^(m-1)) is the first term of its powers, not a third
+        # table.
+        self._assert_set_up_budget(monkeypatch, "quarter", m)
+
+    def _assert_set_up_budget(self, monkeypatch, walk, m):
         field = make_field(2, m)
-        want = char_sum(field, D6_MAP, threads=1)
+        exponents = D6_MAP.laurent_exponents()
+        want = self._walk(walk, field, exponents)
         builds, products = [], []
         xor_tables, mul = finite_fields._xor_tables, finite_fields.FiniteField.mul
 
@@ -582,9 +617,32 @@ class TestCharSum:
 
         monkeypatch.setattr(finite_fields, "_xor_tables", counted_tables)
         monkeypatch.setattr(finite_fields.FiniteField, "mul", counted_mul)
-        assert char_sum(field, D6_MAP, threads=1) == want
+        assert self._walk(walk, field, exponents) == want
         assert len(builds) == 2
         assert len(products) <= 4
+
+    @pytest.mark.parametrize("walk,squares", [("full", 52), ("quarter", 72)])
+    def test_one_squaring_chain_per_exponent(self, monkeypatch, walk, squares):
+        # A D_6 count at m = 24: g^65 takes 6 squarings in pow_el.  The full
+        # walk (L = 2^12, one chunk) squares each g^e 12 times, for its
+        # doubling constants and G_e = g^(e*L), and each G_e 11 times: 6 +
+        # 2 * (12 + 11) = 52, where squaring g^e and G_e again for the
+        # doubling constants took 74.  The quarter walk (L = 2^11) carries
+        # each g^e's chain on to g^(e*2^23), its first start: 6 + 2 * (23 +
+        # 10) = 72.
+        field = make_field(2, 24)
+        exponents = D6_MAP.laurent_exponents()
+        want = self._walk(walk, field, exponents)
+        calls = []
+        square = finite_fields.FiniteField._square
+
+        def counted_square(self, a):
+            calls.append(1)
+            return square(self, a)
+
+        monkeypatch.setattr(finite_fields.FiniteField, "_square", counted_square)
+        assert self._walk(walk, field, exponents) == want
+        assert len(calls) == squares
 
     @pytest.mark.parametrize("m,workers", [(7, 1), (10, 1), (10, 2), (10, 3)])
     def test_stream_subranges_equal_the_definition(self, monkeypatch, m, workers):
@@ -608,6 +666,82 @@ class TestCharSum:
             pieces = [finite_fields._stream_range(field, exps, lo, hi, workers) for lo, hi in zip(cuts, cuts[1:])]
             assert pieces == [sum(signs[lo:hi]) for lo, hi in zip(cuts, cuts[1:])], f
             assert sum(pieces) + finite_fields._zero_point_term(field, f) == oracles.naive_char_sum(m, f)
+
+    @pytest.mark.parametrize("m", range(8, 27))
+    def test_quarter_walk_equals_full_walk(self, m):
+        field = make_field(2, m)
+        for exponents in QUARTER_MAPS:
+            assert self._walk("quarter", field, exponents) == self._walk("full", field, exponents), (m, exponents)
+
+    @pytest.mark.parametrize("m", range(23, 28))
+    def test_quarter_walk_matches_recorded_dk6_counts(self, m):
+        # x = 0 is a pole of D_6 and one point lies over infinity, so N_m =
+        # 2^m + 1 + the sum over the multiplicative group
+        field = make_field(2, m)
+        assert (1 << m) + 1 + self._walk("quarter", field, D6_MAP.laurent_exponents()) == oracles.DK6_COUNTS[m - 1]
+
+    @pytest.mark.parametrize("m,workers", [(9, 1), (11, 1), (11, 2), (11, 3)])
+    def test_quarter_walk_in_chunks_and_threads_equals_the_definition(self, monkeypatch, m, workers):
+        # Batches of 2 blocks and chunks of 3: R2 of GF(2^11) is 8 blocks of
+        # 64, so 3 chunks shared among 1, 2 and 3 threads, with runs of a
+        # group that cross batches and chunks.  Against the full walk in the
+        # same chunks and against the sum by definition.
+        monkeypatch.setattr(finite_fields, "_BATCH", 2)
+        monkeypatch.setattr(finite_fields, "_STARTS", 3)
+        self._see_cpus(monkeypatch, workers)
+        field = make_field(2, m)
+        for f in (D6_MAP, _laurent([5, 2, -2, -7]), _laurent([3, -1, 0]), RationalMap(())):
+            exps = f.laurent_exponents()
+            quarter = self._walk("quarter", field, exps, workers)
+            assert quarter + finite_fields._zero_point_term(field, f) == oracles.naive_char_sum(m, f), f
+            assert quarter == self._walk("full", field, exps, workers), f
+        for exponents in self._exponent_sets(field.order - 1):
+            assert self._walk("quarter", field, exponents, workers) == self._walk("full", field, exponents, workers)
+
+    def test_route_by_m_alone(self, monkeypatch):
+        # Laurent maps take the full walk below _QUARTER_MIN_M and the
+        # quarter walk from it, whatever the map or the threads
+        calls = []
+        monkeypatch.setattr(
+            finite_fields, "_stream_range", lambda field, exps, lo, hi, threads=1: calls.append(("full", field.m)) or 0
+        )
+        monkeypatch.setattr(
+            finite_fields, "_quarter_walk", lambda field, exps, threads=1: calls.append(("quarter", field.m)) or 0
+        )
+        edge = finite_fields._QUARTER_MIN_M
+        for m in (1, 8, edge - 1, edge, finite_fields.DEFAULT_MAX_M):
+            for f, threads in ((D6_MAP, 1), (_laurent([3, -1, 0]), 2)):
+                char_sum(make_field(2, m), f, threads=threads)
+        walks = [("full", 1), ("full", 8), ("full", edge - 1), ("quarter", edge), ("quarter", finite_fields.DEFAULT_MAX_M)]
+        assert calls == [w for w in walks for _ in range(2)]
+
+    @pytest.mark.parametrize("a,words", [(6, 7), (11, 40), (12, 73)])
+    def test_pair_classes_layout(self, a, words):
+        # every j < 2^a once, sorted by (10 pairs within j, top bit of j),
+        # each class padded with -1 to whole words; cached and read-only
+        layout = finite_fields._pair_classes(a)
+        columns, heads, sizes, pairs, top = layout
+        assert len(columns) == 64 * words and sizes.sum() == 1 << a
+        assert sorted(columns[columns >= 0].tolist()) == list(range(1 << a))
+        keys = []
+        for head, size, c2, t in zip(heads, sizes, pairs, top):
+            stop = 64 * head + -(-size // 64) * 64
+            js, padding = columns[64 * head : 64 * head + size], columns[64 * head + size : stop]
+            assert (padding == -1).all()
+            assert {(format(j, f"0{a}b").count("10"), j >> (a - 1)) for j in js.tolist()} == {(c2, t)}
+            keys.append((c2, t))
+        assert len(set(keys)) == len(keys) and stop == len(columns)
+        assert finite_fields._pair_classes(a) is layout
+        assert not any(array.flags.writeable for array in layout)
+
+    def test_quarter_walk_non_integral_class_sum_is_a_counting_bug(self, monkeypatch):
+        # c2_h one too low leaves an m * S_c that c does not divide; the
+        # layout of the blocks is built (and cached) before the patch
+        finite_fields._pair_classes(finite_fields._block_length(8).bit_length() - 1)
+        count = finite_fields._cyclic_pairs
+        monkeypatch.setattr(finite_fields, "_cyclic_pairs", lambda i, m: count(i, m) - 1)
+        with pytest.raises(RuntimeError, match="counting bug"):
+            finite_fields._quarter_walk(make_field(2, 10), D6_MAP.laurent_exponents())
 
     def test_small_field_starts_no_pool(self, monkeypatch):
         # up to 2^24 elements a count has one chunk, so one worker

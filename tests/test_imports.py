@@ -54,3 +54,11 @@ def test_import_leaves_fractions_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+def test_import_builds_no_class_layout():
+    # the quarter walk's block layouts are built at first use
+    probe = "import lpdiv.finite_fields as ff; print(ff._pair_classes.cache_info().currsize)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True, timeout=60)
+    assert out.stdout.strip() == "0"
